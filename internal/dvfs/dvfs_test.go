@@ -2,6 +2,7 @@ package dvfs
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -71,7 +72,9 @@ func TestPowerScaleMonotoneProperty(t *testing.T) {
 		ps := p1.PowerScale()
 		return ps <= p1.FreqScale+1e-12 && ps >= math.Pow(p1.FreqScale, 3)-1e-12
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	const seed = 1
+	t.Logf("quick.Check seed %d", seed)
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(seed))}); err != nil {
 		t.Error(err)
 	}
 }

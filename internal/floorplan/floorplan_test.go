@@ -30,9 +30,9 @@ func TestRectOverlap(t *testing.T) {
 		want float64
 	}{
 		{Rect{X: 1, Y: 1, W: 2, H: 2}, 1},
-		{Rect{X: 2, Y: 0, W: 1, H: 1}, 0},  // edge-adjacent
-		{Rect{X: 5, Y: 5, W: 1, H: 1}, 0},  // disjoint
-		{Rect{X: 0, Y: 0, W: 2, H: 2}, 4},  // identical
+		{Rect{X: 2, Y: 0, W: 1, H: 1}, 0},   // edge-adjacent
+		{Rect{X: 5, Y: 5, W: 1, H: 1}, 0},   // disjoint
+		{Rect{X: 0, Y: 0, W: 2, H: 2}, 4},   // identical
 		{Rect{X: -1, Y: -1, W: 4, H: 4}, 4}, // containing
 	}
 	for _, tc := range cases {
@@ -56,7 +56,9 @@ func TestOverlapSymmetryProperty(t *testing.T) {
 		// Overlap is bounded by both areas.
 		return ov1 <= a.Area()+1e-12 && ov1 <= b.Area()+1e-12 && ov1 >= 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	const seed = 1
+	t.Logf("quick.Check seed %d", seed)
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(seed))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -195,28 +195,68 @@ func TestOverlapFraction(t *testing.T) {
 	}
 }
 
-// Property: for random sub-rectangles, the overlap fractions over all cells
-// sum to rect area / cell area (area conservation of the decomposition).
+// overlapSum is Σ over the cells rect touches of its overlap with the
+// cell, in m².
+func overlapSum(g *Grid, rect floorplan.Rect) float64 {
+	var sum float64
+	for _, idx := range g.CellsIntersecting(rect) {
+		sum += g.OverlapFraction(idx, rect) * g.CellArea()
+	}
+	return sum
+}
+
+// checkOverlapProperty runs an overlap property under a fixed, logged
+// seed so a failure reproduces.
+func checkOverlapProperty(t *testing.T, seed int64, f func(seed int64) bool) {
+	t.Helper()
+	t.Logf("quick.Check seed %d", seed)
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: for random rectangles inside the grid, the overlap fractions
+// over all cells sum to rect area / cell area (area conservation of the
+// decomposition).
 func TestOverlapConservationProperty(t *testing.T) {
 	g, err := New("g", floorplan.Rect{W: 8, H: 8}, 0.01, 8, 8, material.Silicon)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := func(seed int64) bool {
+	checkOverlapProperty(t, 1, func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
+		x, y := rng.Float64()*7.99, rng.Float64()*7.99
 		rect := floorplan.Rect{
-			X: rng.Float64() * 6,
-			Y: rng.Float64() * 6,
-			W: rng.Float64()*2 + 0.01,
-			H: rng.Float64()*2 + 0.01,
+			X: x,
+			Y: y,
+			W: 0.01 + rng.Float64()*(8-x-0.01),
+			H: 0.01 + rng.Float64()*(8-y-0.01),
 		}
-		var sum float64
-		for _, idx := range g.CellsIntersecting(rect) {
-			sum += g.OverlapFraction(idx, rect) * g.CellArea()
+		return math.Abs(overlapSum(g, rect)-rect.Area()) < 1e-9
+	})
+}
+
+// Property: a rectangle crossing the grid's left or right edge is
+// clipped, so its overlaps sum to the area of its intersection with the
+// grid.
+func TestOverlapClippingProperty(t *testing.T) {
+	g, err := New("g", floorplan.Rect{W: 8, H: 8}, 0.01, 8, 8, material.Silicon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOverlapProperty(t, 2, func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		x := rng.Float64()*11 - 3
+		cross := 8 - x // width that reaches past the right edge
+		if x < 0 {
+			cross = -x // starts left of the grid: the width that reaches into it
 		}
-		return math.Abs(sum-rect.Area()) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
+		rect := floorplan.Rect{
+			X: x,
+			Y: rng.Float64() * 8,
+			W: cross + 0.01 + rng.Float64()*3,
+			H: 0.01 + rng.Float64()*4,
+		}
+		return math.Abs(overlapSum(g, rect)-rect.Overlap(g.Outline)) < 1e-9
+	})
 }

@@ -166,7 +166,9 @@ func TestToCellsConservationProperty(t *testing.T) {
 		}
 		return math.Abs(sum-m.Total()) < 1e-9*(1+m.Total())
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	const seed = 1
+	t.Logf("quick.Check seed %d", seed)
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(seed))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -33,6 +33,19 @@ import (
 	"oftec/internal/workload"
 )
 
+// Request bounds: what one untrusted request may make the service build
+// or run. Each sits well above what the paper's configurations need.
+const (
+	// maxChipRes caps ChipSpec.Res. The paper's chip grid is 16 cells
+	// per edge, and model size grows with its square.
+	maxChipRes = 64
+	// maxParetoThresholds caps ParetoRequest.TMaxC; each threshold runs
+	// a full optimize.
+	maxParetoThresholds = 16
+	// maxBodyBytes caps a request body.
+	maxBodyBytes = 1 << 20
+)
+
 // ChipSpec identifies one chip configuration in the fleet. The zero value
 // selects the paper's package at service resolution (chip 8, spreader 7,
 // sink 6, PCB 4 cells per edge) under the Basicmath workload on the full
@@ -40,7 +53,8 @@ import (
 type ChipSpec struct {
 	// Bench is the workload name (Table 2 spelling); empty = Basicmath.
 	Bench string `json:"bench,omitempty"`
-	// Res overrides the chip-layer grid resolution (cells per edge).
+	// Res overrides the chip-layer grid resolution (cells per edge, at
+	// most maxChipRes).
 	Res int `json:"res,omitempty"`
 	// PaperRes selects the paper's full grid resolutions instead of the
 	// reduced service default (Res still overrides the chip layer).
@@ -64,6 +78,9 @@ func (c ChipSpec) config() (thermal.Config, error) {
 		cfg.SpreaderRes = 7
 		cfg.SinkRes = 6
 		cfg.PCBRes = 4
+	}
+	if c.Res > maxChipRes {
+		return thermal.Config{}, fmt.Errorf("serve: chip res %d exceeds the limit of %d", c.Res, maxChipRes)
 	}
 	if c.Res > 0 {
 		cfg.ChipRes = c.Res

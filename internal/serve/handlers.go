@@ -25,8 +25,7 @@ func fin(v float64) float64 {
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req EvaluateRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if !s.decode(w, r, &req) {
 		return
 	}
 	entry, sys, status, err := s.system(req.Chip)
@@ -125,8 +124,7 @@ func optimizeOptions(ctx context.Context, req OptimizeRequest) (core.Options, er
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var req OptimizeRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if !s.decode(w, r, &req) {
 		return
 	}
 	entry, sys, status, err := s.system(req.Chip)
@@ -222,8 +220,7 @@ func stopName(s solver.StopReason) string {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if !s.decode(w, r, &req) {
 		return
 	}
 	if req.NOmega < 2 || req.NI < 2 {
@@ -267,12 +264,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 	var req ParetoRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if !s.decode(w, r, &req) {
 		return
 	}
-	if len(req.TMaxC) == 0 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("serve: pareto needs at least one tmax_c threshold"))
+	if len(req.TMaxC) == 0 || len(req.TMaxC) > maxParetoThresholds {
+		s.writeError(w, http.StatusBadRequest,
+			fmt.Errorf("serve: pareto needs 1 to %d tmax_c thresholds, got %d", maxParetoThresholds, len(req.TMaxC)))
 		return
 	}
 	_, sys, status, err := s.system(req.Chip)

@@ -563,3 +563,42 @@ func TestMethodNotAllowed(t *testing.T) {
 		t.Errorf("GET /v1/evaluate answered %d, want 405", rec.Code)
 	}
 }
+
+// TestRequestBounds: each bound on untrusted input refuses one step past
+// its limit before any model is built, and admits the traffic oftecload
+// and the benchmarks send.
+func TestRequestBounds(t *testing.T) {
+	s := New(Options{})
+	h := s.Handler()
+
+	t.Run("chip res", func(t *testing.T) {
+		rec := post(t, h, "/v1/evaluate", EvaluateRequest{Chip: ChipSpec{Res: maxChipRes + 1}, OmegaRPM: 2000})
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("res %d: status %d, want 400: %s", maxChipRes+1, rec.Code, rec.Body.String())
+		}
+		for _, spec := range []ChipSpec{{Res: 8}, {PaperRes: true}, {PaperRes: true, Res: 16}, {Res: maxChipRes}} {
+			if _, err := spec.config(); err != nil {
+				t.Errorf("%+v refused: %v", spec, err)
+			}
+		}
+	})
+	t.Run("pareto thresholds", func(t *testing.T) {
+		rec := post(t, h, "/v1/pareto", ParetoRequest{TMaxC: make([]float64, maxParetoThresholds+1)})
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%d thresholds: status %d, want 400: %s", maxParetoThresholds+1, rec.Code, rec.Body.String())
+		}
+	})
+	t.Run("body size", func(t *testing.T) {
+		// A syntactically valid body whose padding runs past the limit.
+		body := `{"omega_rpm":2000` + strings.Repeat(" ", maxBodyBytes) + `}`
+		req := httptest.NewRequest(http.MethodPost, "/v1/evaluate", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%d-byte body: status %d, want 413: %s", len(body), rec.Code, rec.Body.String())
+		}
+	})
+	if got := s.pool.size(); got != 0 {
+		t.Errorf("refused requests built %d models", got)
+	}
+}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -197,14 +198,22 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context
 	return context.WithTimeout(r.Context(), d)
 }
 
-// decode strictly parses the request body.
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// decode strictly parses a request body of at most maxBodyBytes. On
+// failure it answers 413 for an oversized body and 400 otherwise, and
+// reports false.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("serve: decoding request: %w", err)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.writeError(w, status, fmt.Errorf("serve: decoding request: %w", err))
+		return false
 	}
-	return nil
+	return true
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {

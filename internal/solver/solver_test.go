@@ -382,7 +382,9 @@ func TestQPKKTProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	const seed = 1
+	t.Logf("quick.Check seed %d", seed)
+	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(seed))}); err != nil {
 		t.Error(err)
 	}
 }

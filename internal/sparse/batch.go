@@ -22,9 +22,8 @@ import (
 // alpha/beta/rz scalars. A column that converges is frozen (its x is
 // never touched again); a column that breaks down or exhausts the budget
 // is reported not-ok and the caller re-solves it through the scalar
-// path, which reproduces the identical failure and proceeds down its own
-// ladder. Batched results are therefore DeepEqual to per-point results,
-// including SolveStats.
+// path, which reproduces the identical failure. Batched results are
+// therefore DeepEqual to per-point results, including SolveStats.
 
 // DiagOverride replaces one value-array slot of the shared matrix with a
 // per-column coefficient: row Row's entry at value index K reads
@@ -514,7 +513,7 @@ func updateDirCols(p, z, beta []float64, w int, inactive []bool, anyInactive boo
 // returned solutions are freshly allocated per column (they outlive the
 // workspace); stats[j] and ok[j] report each column's outcome. ok[j] =
 // false marks a breakdown or exhausted iteration budget — the caller
-// re-solves that column through its scalar ladder, which reproduces the
+// re-solves that column through SolveAuto, which reproduces the
 // identical failure and handles it as the per-point path would.
 //
 // Per column the arithmetic is bit-identical to CGPrecond against the
@@ -600,10 +599,10 @@ func CGPrecondBatch(a *CSR, ovs []DiagOverride, b, x0 []float64, m *ICPreconditi
 				continue
 			}
 			pap := ws.pap[j]
-			if pap <= 0 || math.IsNaN(pap) {
-				// CGPrecond's breakdown: the scalar ladder re-solves this
+			if !(pap > 0) {
+				// CGPrecond's breakdown: the scalar path re-solves this
 				// column and fails at the same iteration.
-				stats[j] = Stats{Iterations: it}
+				stats[j] = Stats{Iterations: it, Indefinite: pap <= 0}
 				inactive[j] = true
 				anyInactive = true
 				active--
@@ -667,42 +666,4 @@ func CGPrecondBatch(a *CSR, ovs []DiagOverride, b, x0 []float64, m *ICPreconditi
 		out[j] = col
 	}
 	return out, stats, ok, nil
-}
-
-// SolveBatch solves A·x_j = B[j] for every column against one shared
-// matrix and one IC(0) factorization, in lockstep. It is the multi-RHS
-// convenience over CGPrecondBatch for callers whose systems share every
-// coefficient (no per-column overrides); opts.X0 (when set) seeds every
-// column. ok[j] = false marks a column the lockstep solve could not
-// finish — re-solve it with CGPrecond (the failure reproduces).
-func SolveBatch(a *CSR, B [][]float64, m *ICPreconditioner, opts SolveOptions, ws *BatchWorkspace) ([][]float64, []Stats, []bool, error) {
-	w := len(B)
-	if w == 0 {
-		return nil, nil, nil, nil
-	}
-	n := a.N()
-	for j, col := range B {
-		if len(col) != n {
-			return nil, nil, nil, fmt.Errorf("sparse: batch rhs column %d has length %d, want %d", j, len(col), n)
-		}
-	}
-	b := make([]float64, n*w)
-	for j, col := range B {
-		for i, v := range col {
-			b[i*w+j] = v
-		}
-	}
-	var x0 []float64
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, nil, nil, fmt.Errorf("sparse: batch start has length %d, want %d", len(opts.X0), n)
-		}
-		x0 = make([]float64, n*w)
-		for i, v := range opts.X0 {
-			for j := 0; j < w; j++ {
-				x0[i*w+j] = v
-			}
-		}
-	}
-	return CGPrecondBatch(a, nil, b, x0, m, w, opts, ws)
 }

@@ -1,15 +1,17 @@
 // Package sparse implements the sparse linear algebra needed by the thermal
 // simulator: compressed sparse row (CSR) matrices assembled from coordinate
-// triplets, iterative Krylov solvers (CG, BiCGSTAB), stationary solvers
-// (Gauss-Seidel / SOR), and a dense LU fallback for small systems and for
-// cross-checking the iterative methods in tests.
+// triplets, a conjugate-gradient stack for symmetric positive definite
+// (SPD) systems (IC(0)-preconditioned CG, Jacobi CG when no IC(0) factor
+// exists, and a lockstep multi-RHS variant), and a dense LU factorization
+// for small dense systems.
 //
 // The thermal system matrix is a conduction Laplacian plus diagonal shifts
 // contributed by linear-in-temperature heat sources (Peltier terms and the
-// Taylor-linearized leakage). The Laplacian part is symmetric positive
-// definite; the shifts keep the matrix symmetric but may reduce diagonal
-// dominance, so the package provides BiCGSTAB and LU as robust fallbacks
-// for operating points close to thermal runaway where CG can stall.
+// Taylor-linearized leakage). The Laplacian part is SPD; the shifts keep
+// the matrix symmetric but can drive it indefinite, which is thermal
+// runaway. CG detects that itself: a search direction with pᵀAp ≤ 0
+// certifies the matrix is not positive definite, and the solvers report
+// it as ErrIndefinite rather than falling back to a general solver.
 package sparse
 
 import (
@@ -143,9 +145,6 @@ type CSR struct {
 	colIdx []int32
 	values []float64
 
-	// sym caches the symmetry of the matrix: 0 unknown, +1 symmetric,
-	// -1 asymmetric. Stamped by MarkSymmetric; read by SymmetricHint.
-	sym int8
 	// version is an opaque value-version used to key factorization caches
 	// (see FactorCache); 0 means unversioned.
 	version uint64
@@ -197,15 +196,6 @@ func (m *CSR) ColAt(k int) int { return int(m.colIdx[k]) }
 // ValAt returns the value of stored entry k.
 func (m *CSR) ValAt(k int) float64 { return m.values[k] }
 
-// Diagonal returns a copy of the matrix diagonal.
-func (m *CSR) Diagonal() []float64 {
-	d := make([]float64, m.n)
-	for i := 0; i < m.n; i++ {
-		d[i] = m.At(i, i)
-	}
-	return d
-}
-
 // Residual computes dst = b - m·x, returning the infinity norm of dst.
 //
 //oftec:hotpath
@@ -238,32 +228,6 @@ func (m *CSR) IsSymmetric(tol float64) bool {
 	return true
 }
 
-// MarkSymmetric stamps the matrix's symmetry so SolveAuto (and other
-// callers of SymmetricHint) can skip the O(nnz·log) per-solve symmetry
-// scan. Assembly paths that know their structure — e.g. a conduction
-// Laplacian patched only on the diagonal — stamp at build/refresh time.
-func (m *CSR) MarkSymmetric(sym bool) {
-	if sym {
-		m.sym = 1
-	} else {
-		m.sym = -1
-	}
-}
-
-// SymmetricHint reports whether the matrix is symmetric, trusting a
-// MarkSymmetric stamp when present and falling back to the full
-// IsSymmetric scan otherwise. The fallback does not write the stamp, so
-// concurrent solves on an unstamped shared matrix stay race-free.
-func (m *CSR) SymmetricHint(tol float64) bool {
-	switch m.sym {
-	case 1:
-		return true
-	case -1:
-		return false
-	}
-	return m.IsSymmetric(tol)
-}
-
 // SetVersion stamps an opaque value-version on the matrix. Callers that
 // rewrite a shared-pattern value array between solves assign a version
 // that identifies the value content (e.g. derived from the operating
@@ -276,8 +240,8 @@ func (m *CSR) Version() uint64 { return m.version }
 
 // WithValues returns a matrix sharing the receiver's sparsity pattern
 // with the given value array, which the caller owns and may rewrite
-// between solves. len(values) must equal NNZ(). Symmetry and version
-// stamps are not inherited; the caller re-stamps after each refresh.
+// between solves. len(values) must equal NNZ(). The version stamp is not
+// inherited; the caller re-stamps after each refresh.
 func (m *CSR) WithValues(values []float64) (*CSR, error) {
 	if len(values) != len(m.values) {
 		return nil, fmt.Errorf("sparse: value array length %d does not match nnz %d", len(values), len(m.values))
@@ -320,58 +284,10 @@ func (m *CSR) DiagIndices() ([]int32, error) {
 	return idx, nil
 }
 
-// WithAddedDiagonal returns a copy of the matrix with d[i] added to each
-// diagonal entry. Every row must already store a diagonal entry (true for
-// the assembled thermal systems); the sparsity pattern is shared with the
-// receiver, making this O(nnz) with no re-sorting — the fast path for
-// backward-Euler steps that add C/Δt to a fixed conduction matrix.
-func (m *CSR) WithAddedDiagonal(d []float64) (*CSR, error) {
-	if len(d) != m.n {
-		return nil, fmt.Errorf("sparse: diagonal length %d does not match dimension %d", len(d), m.n)
-	}
-	out := &CSR{
-		n:      m.n,
-		rowPtr: m.rowPtr,
-		colIdx: m.colIdx,
-		values: append([]float64(nil), m.values...),
-	}
-	for i := 0; i < m.n; i++ {
-		lo, hi := int(m.rowPtr[i]), int(m.rowPtr[i+1])
-		found := false
-		for k := lo; k < hi; k++ {
-			if int(m.colIdx[k]) == i {
-				out.values[k] += d[i]
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("sparse: row %d has no stored diagonal entry", i)
-		}
-	}
-	return out, nil
-}
-
-// Dense expands the matrix into a row-major dense form; intended for tests
-// and for the dense LU fallback on small systems.
-func (m *CSR) Dense() [][]float64 {
-	d := make([][]float64, m.n)
-	buf := make([]float64, m.n*m.n)
-	for i := range d {
-		d[i] = buf[i*m.n : (i+1)*m.n]
-	}
-	for i := 0; i < m.n; i++ {
-		lo, hi := int(m.rowPtr[i]), int(m.rowPtr[i+1])
-		for k := lo; k < hi; k++ {
-			d[i][m.colIdx[k]] = m.values[k]
-		}
-	}
-	return d
-}
-
 // Vector helpers.
 
 // Dot returns the inner product of a and b.
+//
 //oftec:hotpath
 func Dot(a, b []float64) float64 {
 	var s float64
@@ -382,6 +298,7 @@ func Dot(a, b []float64) float64 {
 }
 
 // Norm2 returns the Euclidean norm of v.
+//
 //oftec:hotpath
 func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
 
@@ -397,6 +314,7 @@ func NormInf(v []float64) float64 {
 }
 
 // AXPY computes y += alpha*x in place.
+//
 //oftec:hotpath
 func AXPY(alpha float64, x, y []float64) {
 	for i := range y {
@@ -408,6 +326,7 @@ func AXPY(alpha float64, x, y []float64) {
 func Copy(dst, src []float64) { copy(dst, src) }
 
 // Fill sets every element of v to x.
+//
 //oftec:hotpath
 func Fill(v []float64, x float64) {
 	for i := range v {

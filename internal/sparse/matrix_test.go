@@ -118,6 +118,19 @@ func TestIsSymmetric(t *testing.T) {
 	}
 }
 
+// Dense expands the matrix into a row-major dense form, for cross-checks
+// against LU.
+func (m *CSR) Dense() [][]float64 {
+	d := make([][]float64, m.n)
+	for i := range d {
+		d[i] = make([]float64, m.n)
+		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+			d[i][m.colIdx[k]] = m.values[k]
+		}
+	}
+	return d
+}
+
 func TestDenseRoundTrip(t *testing.T) {
 	d := [][]float64{{1, 0, 2}, {0, 3, 0}, {4, 0, 5}}
 	m := buildFromDense(t, d)
@@ -163,7 +176,9 @@ func TestSymmetricBilinearProperty(t *testing.T) {
 		m.MulVec(ay, y)
 		return math.Abs(Dot(ax, y)-Dot(x, ay)) < 1e-9*(1+math.Abs(Dot(ax, y)))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	const seed = 1
+	t.Logf("quick.Check seed %d", seed)
+	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(seed))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -188,38 +203,5 @@ func TestVectorHelpers(t *testing.T) {
 	Fill(y, 9)
 	if y[0] != 9 || y[2] != 9 {
 		t.Errorf("Fill: y = %v, want all 9", y)
-	}
-}
-
-func TestWithAddedDiagonal(t *testing.T) {
-	m := buildFromDense(t, [][]float64{{2, -1, 0}, {-1, 2, -1}, {0, -1, 2}})
-	d := []float64{10, 20, 30}
-	out, err := m.WithAddedDiagonal(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if got := out.At(i, i); got != 2+d[i] {
-			t.Errorf("diag %d = %g, want %g", i, got, 2+d[i])
-		}
-	}
-	// Receiver unchanged, off-diagonals shared and intact.
-	if m.At(0, 0) != 2 || out.At(0, 1) != -1 {
-		t.Error("WithAddedDiagonal disturbed the original or the off-diagonals")
-	}
-	if _, err := m.WithAddedDiagonal([]float64{1}); err == nil {
-		t.Error("mismatched diagonal length accepted")
-	}
-	// A row without a stored diagonal must be rejected.
-	b := NewBuilder(2)
-	b.Add(0, 1, 1)
-	b.Add(1, 0, 1)
-	b.AddDiag(1, 5)
-	noDiag, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := noDiag.WithAddedDiagonal([]float64{1, 1}); err == nil {
-		t.Error("missing diagonal accepted")
 	}
 }

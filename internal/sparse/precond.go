@@ -6,39 +6,6 @@ import (
 	"sync"
 )
 
-// Preconditioner approximates the inverse of a matrix: Apply computes
-// dst ≈ A⁻¹·r. Implementations must tolerate dst and r being distinct
-// slices of equal length.
-type Preconditioner interface {
-	Apply(dst, r []float64)
-}
-
-// JacobiPreconditioner is diagonal scaling, the default inside CG and
-// BiCGSTAB.
-type JacobiPreconditioner struct {
-	invDiag []float64
-}
-
-// NewJacobiPreconditioner builds the diagonal preconditioner; it fails on
-// zero diagonal entries.
-func NewJacobiPreconditioner(a *CSR) (*JacobiPreconditioner, error) {
-	d := a.Diagonal()
-	for i, v := range d {
-		if v == 0 {
-			return nil, fmt.Errorf("sparse: zero diagonal at row %d", i)
-		}
-		d[i] = 1 / v
-	}
-	return &JacobiPreconditioner{invDiag: d}, nil
-}
-
-// Apply implements Preconditioner.
-func (p *JacobiPreconditioner) Apply(dst, r []float64) {
-	for i := range dst {
-		dst[i] = p.invDiag[i] * r[i]
-	}
-}
-
 // ICPreconditioner is a zero-fill incomplete Cholesky factorization
 // M = L·Lᵀ of a symmetric positive-definite matrix, with L restricted to
 // the sparsity pattern of the lower triangle of A. For the thermal
@@ -55,16 +22,16 @@ type ICPreconditioner struct {
 	ltRowPtr []int32
 	ltColIdx []int32
 	ltValues []float64
-	work     []float64
 }
 
 // NewICPreconditioner computes the IC(0) factorization. It returns an
-// error when the matrix is structurally unsuitable (asymmetric pattern or
-// a non-positive pivot, which signals an indefinite matrix — callers then
-// fall back to Jacobi).
+// error when the matrix is structurally unsuitable (a missing diagonal)
+// or meets a non-positive pivot. A failed pivot is not a certificate of
+// indefiniteness (IC(0) drops fill), so SolveAuto then falls back to
+// Jacobi CG.
 func NewICPreconditioner(a *CSR) (*ICPreconditioner, error) {
 	n := a.N()
-	p := &ICPreconditioner{n: n, work: make([]float64, n)}
+	p := &ICPreconditioner{n: n}
 
 	// Collect the lower-triangle pattern row by row (columns ascending,
 	// diagonal last in each row).
@@ -182,18 +149,11 @@ func (p *ICPreconditioner) buildTranspose() {
 	}
 }
 
-// Apply implements Preconditioner: dst = (L·Lᵀ)⁻¹ · r via one forward and
-// one backward triangular solve. Apply uses an internal work vector, so a
-// single ICPreconditioner must not serve concurrent solves through this
-// method — shared (cached) factorizations go through ApplyScratch.
-func (p *ICPreconditioner) Apply(dst, r []float64) {
-	p.ApplyScratch(dst, r, p.work)
-}
-
-// ApplyScratch is Apply with a caller-provided intermediate vector (length
-// N). The factor arrays are read-only after construction, so a cached
-// ICPreconditioner is safe for concurrent solves as long as each solve
-// brings its own scratch (see Workspace).
+// ApplyScratch computes dst = (L·Lᵀ)⁻¹·r by one forward and one backward
+// triangular solve through the caller's intermediate vector scratch
+// (length N). The factor arrays are read-only after construction, so a
+// cached ICPreconditioner is safe for concurrent solves as long as each
+// solve brings its own scratch (see Workspace).
 //
 //oftec:hotpath
 func (p *ICPreconditioner) ApplyScratch(dst, r, scratch []float64) {
@@ -226,7 +186,7 @@ func (p *ICPreconditioner) ApplyScratch(dst, r, scratch []float64) {
 // factorization instead of re-running the O(nnz) numeric factorization.
 // Matrices with version 0 (unversioned) are factorized fresh and never
 // cached. The cache is safe for concurrent use; cached preconditioners
-// must be applied via ApplyScratch (CGPrecond does this automatically).
+// are applied via ApplyScratch, as CGPrecond does.
 type FactorCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -330,8 +290,9 @@ func (c *FactorCache) Len() int {
 }
 
 // CGPrecond solves A·x = b with the conjugate gradient method under an
-// arbitrary symmetric preconditioner.
-func CGPrecond(a *CSR, b []float64, m Preconditioner, opts SolveOptions) ([]float64, Stats, error) {
+// IC(0) preconditioner. A curvature pᵀAp ≤ 0 stops the solve with
+// ErrIndefinite.
+func CGPrecond(a *CSR, b []float64, m *ICPreconditioner, opts SolveOptions) ([]float64, Stats, error) {
 	n := a.N()
 	if len(b) != n {
 		return nil, Stats{}, fmt.Errorf("sparse: rhs length %d does not match matrix dimension %d", len(b), n)
@@ -352,17 +313,8 @@ func CGPrecond(a *CSR, b []float64, m Preconditioner, opts SolveOptions) ([]floa
 	}
 	tol := opts.tol()
 
-	// Shared (cached) preconditioners are applied through a per-solve
-	// scratch vector so concurrent solves never contend on internal state.
-	apply := m.Apply
-	if sp, ok := m.(interface {
-		ApplyScratch(dst, r, scratch []float64)
-	}); ok {
-		apply = func(dst, r []float64) { sp.ApplyScratch(dst, r, ws.pre) }
-	}
-
 	z, p, ap := ws.z, ws.p, ws.ap
-	apply(z, r)
+	m.ApplyScratch(z, r, ws.pre)
 	copy(p, z)
 	rz := Dot(r, z)
 
@@ -370,8 +322,8 @@ func CGPrecond(a *CSR, b []float64, m Preconditioner, opts SolveOptions) ([]floa
 	for it := 1; it <= maxIter; it++ {
 		a.MulVec(ap, p)
 		pap := Dot(p, ap)
-		if pap <= 0 || math.IsNaN(pap) {
-			return nil, Stats{Iterations: it}, fmt.Errorf("%w: CG breakdown (pᵀAp=%g)", ErrNoConvergence, pap)
+		if !(pap > 0) {
+			return breakdown(it, pap)
 		}
 		alpha := rz / pap
 		AXPY(alpha, p, x)
@@ -380,7 +332,7 @@ func CGPrecond(a *CSR, b []float64, m Preconditioner, opts SolveOptions) ([]floa
 		if res <= tol {
 			return x, Stats{Iterations: it, Residual: res}, nil
 		}
-		apply(z, r)
+		m.ApplyScratch(z, r, ws.pre)
 		rzNew := Dot(r, z)
 		beta := rzNew / rz
 		rz = rzNew

@@ -14,6 +14,12 @@ var ErrNoConvergence = errors.New("sparse: iterative solver did not converge")
 // that is numerically zero.
 var ErrSingular = errors.New("sparse: matrix is singular to working precision")
 
+// ErrIndefinite is returned, with Stats.Indefinite set, when CG meets a
+// direction p ≠ 0 with pᵀAp ≤ 0 (or a diagonal entry aᵢᵢ ≤ 0, which is
+// the same test on a unit vector). Either is a certificate that A is not
+// positive definite; on the thermal systems it certifies runaway.
+var ErrIndefinite = errors.New("sparse: matrix is not positive definite")
+
 // SolveOptions configures the iterative solvers.
 type SolveOptions struct {
 	// Tol is the relative residual tolerance ‖b−Ax‖₂ ≤ Tol·‖b‖₂.
@@ -23,10 +29,10 @@ type SolveOptions struct {
 	MaxIter int
 	// X0 is an optional warm-start; nil starts from zero.
 	X0 []float64
-	// Precond optionally supplies a preconditioner for SolveAuto's
-	// symmetric path, bypassing the per-solve IC(0) factorization —
-	// the hook for factorization caching (see FactorCache).
-	Precond Preconditioner
+	// Precond optionally supplies SolveAuto's IC(0) factor, bypassing
+	// the per-solve factorization — the hook for factorization caching
+	// (see FactorCache).
+	Precond *ICPreconditioner
 	// Work optionally supplies reusable solver work arrays so repeated
 	// solves stay allocation-light. A Workspace must not be shared by
 	// concurrent solves.
@@ -84,11 +90,25 @@ func (o SolveOptions) maxIter(n int) int {
 type Stats struct {
 	Iterations int
 	Residual   float64 // final relative residual
+	// Indefinite is set alongside ErrIndefinite: the solve found a
+	// direction of non-positive curvature.
+	Indefinite bool
+}
+
+// breakdown ends a CG solve at iteration it, where the curvature pᵀAp
+// came out not positive. A value ≤ 0 certifies that A is not positive
+// definite; NaN certifies nothing and is reported as non-convergence.
+func breakdown(it int, pap float64) ([]float64, Stats, error) {
+	if math.IsNaN(pap) {
+		return nil, Stats{Iterations: it}, fmt.Errorf("%w: CG breakdown (pᵀAp=NaN)", ErrNoConvergence)
+	}
+	return nil, Stats{Iterations: it, Indefinite: true}, fmt.Errorf("%w: pᵀAp=%g at iteration %d", ErrIndefinite, pap, it)
 }
 
 // CG solves A·x = b with the Jacobi-preconditioned conjugate gradient
-// method. A must be symmetric; positive definiteness is required for
-// guaranteed convergence. The result is written into a new slice.
+// method. A must be symmetric; a diagonal entry or a curvature pᵀAp that
+// is not positive stops the solve with ErrIndefinite. The result is
+// written into a new slice.
 func CG(a *CSR, b []float64, opts SolveOptions) ([]float64, Stats, error) {
 	n := a.N()
 	if len(b) != n {
@@ -112,8 +132,8 @@ func CG(a *CSR, b []float64, opts SolveOptions) ([]float64, Stats, error) {
 	invDiag := ws.pre
 	for i := range invDiag {
 		d := a.At(i, i)
-		if d == 0 {
-			return nil, Stats{}, fmt.Errorf("sparse: zero diagonal at row %d; Jacobi preconditioner undefined", i)
+		if d <= 0 {
+			return nil, Stats{Indefinite: true}, fmt.Errorf("%w: diagonal entry %d is %g", ErrIndefinite, i, d)
 		}
 		invDiag[i] = 1 / d
 	}
@@ -129,8 +149,8 @@ func CG(a *CSR, b []float64, opts SolveOptions) ([]float64, Stats, error) {
 	for it := 1; it <= maxIter; it++ {
 		a.MulVec(ap, p)
 		pap := Dot(p, ap)
-		if pap == 0 || math.IsNaN(pap) {
-			return nil, Stats{Iterations: it}, fmt.Errorf("%w: CG breakdown (pᵀAp=%g)", ErrNoConvergence, pap)
+		if !(pap > 0) {
+			return breakdown(it, pap)
 		}
 		alpha := rz / pap
 		AXPY(alpha, p, x)
@@ -153,153 +173,29 @@ func CG(a *CSR, b []float64, opts SolveOptions) ([]float64, Stats, error) {
 	return x, Stats{Iterations: maxIter, Residual: Norm2(r) / bnorm}, ErrNoConvergence
 }
 
-// BiCGSTAB solves A·x = b for general (possibly nonsymmetric or indefinite)
-// matrices with Jacobi preconditioning.
-func BiCGSTAB(a *CSR, b []float64, opts SolveOptions) ([]float64, Stats, error) {
-	n := a.N()
-	if len(b) != n {
-		return nil, Stats{}, fmt.Errorf("sparse: rhs length %d does not match matrix dimension %d", len(b), n)
+// SolveAuto solves the symmetric positive definite system A·x = b by
+// IC(0)-preconditioned CG, under opts.Precond or a fresh IC(0) factor of
+// A. Only when no factor can be built does it fall back to Jacobi CG. A
+// is assumed symmetric (the thermal model checks its pattern once at
+// build time). Either method returns ErrIndefinite, with
+// Stats.Indefinite set, when it finds A is not positive definite; there
+// is no fallback past that certificate.
+//
+//oftec:allocok returns a freshly allocated solution vector by contract; iteration scratch comes from SolveOptions.Work
+func SolveAuto(a *CSR, b []float64, opts SolveOptions) ([]float64, Stats, error) {
+	pre := opts.Precond
+	if pre == nil {
+		ic, err := NewICPreconditioner(a)
+		if err != nil {
+			return CG(a, b, opts)
+		}
+		pre = ic
 	}
-	x := make([]float64, n)
-	if opts.X0 != nil {
-		copy(x, opts.X0)
-	}
-	r := make([]float64, n)
-	a.Residual(r, x, b)
-
-	bnorm := Norm2(b)
-	if bnorm == 0 {
-		return x, Stats{}, nil
-	}
-	tol := opts.tol()
-
-	invDiag := a.Diagonal()
-	for i, d := range invDiag {
-		if d == 0 {
-			return nil, Stats{}, fmt.Errorf("sparse: zero diagonal at row %d; Jacobi preconditioner undefined", i)
-		}
-		invDiag[i] = 1 / d
-	}
-
-	rhat := make([]float64, n)
-	copy(rhat, r)
-	p := make([]float64, n)
-	v := make([]float64, n)
-	s := make([]float64, n)
-	t := make([]float64, n)
-	phat := make([]float64, n)
-	shat := make([]float64, n)
-
-	rho, alpha, omega := 1.0, 1.0, 1.0
-	maxIter := opts.maxIter(n)
-	for it := 1; it <= maxIter; it++ {
-		rhoNew := Dot(rhat, r)
-		if rhoNew == 0 {
-			return nil, Stats{Iterations: it}, fmt.Errorf("%w: BiCGSTAB breakdown (rho=0)", ErrNoConvergence)
-		}
-		if it == 1 {
-			copy(p, r)
-		} else {
-			beta := (rhoNew / rho) * (alpha / omega)
-			for i := range p {
-				p[i] = r[i] + beta*(p[i]-omega*v[i])
-			}
-		}
-		rho = rhoNew
-
-		for i := range phat {
-			phat[i] = invDiag[i] * p[i]
-		}
-		a.MulVec(v, phat)
-		den := Dot(rhat, v)
-		if den == 0 {
-			return nil, Stats{Iterations: it}, fmt.Errorf("%w: BiCGSTAB breakdown (r̂ᵀv=0)", ErrNoConvergence)
-		}
-		alpha = rho / den
-		for i := range s {
-			s[i] = r[i] - alpha*v[i]
-		}
-		if res := Norm2(s) / bnorm; res <= tol {
-			AXPY(alpha, phat, x)
-			return x, Stats{Iterations: it, Residual: res}, nil
-		}
-		for i := range shat {
-			shat[i] = invDiag[i] * s[i]
-		}
-		a.MulVec(t, shat)
-		tt := Dot(t, t)
-		if tt == 0 {
-			return nil, Stats{Iterations: it}, fmt.Errorf("%w: BiCGSTAB breakdown (tᵀt=0)", ErrNoConvergence)
-		}
-		omega = Dot(t, s) / tt
-		for i := range x {
-			x[i] += alpha*phat[i] + omega*shat[i]
-		}
-		for i := range r {
-			r[i] = s[i] - omega*t[i]
-		}
-		if res := Norm2(r) / bnorm; res <= tol {
-			return x, Stats{Iterations: it, Residual: res}, nil
-		}
-		if omega == 0 {
-			return nil, Stats{Iterations: it}, fmt.Errorf("%w: BiCGSTAB breakdown (omega=0)", ErrNoConvergence)
-		}
-	}
-	a.Residual(r, x, b)
-	return x, Stats{Iterations: maxIter, Residual: Norm2(r) / bnorm}, ErrNoConvergence
+	return CGPrecond(a, b, pre, opts)
 }
 
-// SOR solves A·x = b with successive over-relaxation. relax=1 is
-// Gauss-Seidel. SOR is exposed mainly as a reference solver for tests and
-// as a smoother; the Krylov methods are preferred in production paths.
-func SOR(a *CSR, b []float64, relax float64, opts SolveOptions) ([]float64, Stats, error) {
-	n := a.N()
-	if len(b) != n {
-		return nil, Stats{}, fmt.Errorf("sparse: rhs length %d does not match matrix dimension %d", len(b), n)
-	}
-	if relax <= 0 || relax >= 2 {
-		return nil, Stats{}, fmt.Errorf("sparse: SOR relaxation factor %g outside (0,2)", relax)
-	}
-	x := make([]float64, n)
-	if opts.X0 != nil {
-		copy(x, opts.X0)
-	}
-	bnorm := Norm2(b)
-	if bnorm == 0 {
-		return x, Stats{}, nil
-	}
-	tol := opts.tol()
-	r := make([]float64, n)
-
-	maxIter := opts.maxIter(n)
-	for it := 1; it <= maxIter; it++ {
-		for i := 0; i < n; i++ {
-			lo, hi := int(a.rowPtr[i]), int(a.rowPtr[i+1])
-			var sum, diag float64
-			for k := lo; k < hi; k++ {
-				j := int(a.colIdx[k])
-				if j == i {
-					diag = a.values[k]
-					continue
-				}
-				sum += a.values[k] * x[j]
-			}
-			if diag == 0 {
-				return nil, Stats{Iterations: it}, fmt.Errorf("sparse: zero diagonal at row %d in SOR", i)
-			}
-			gs := (b[i] - sum) / diag
-			x[i] += relax * (gs - x[i])
-		}
-		if res := a.Residual(r, x, b); res/(1+bnorm) <= tol || Norm2(r)/bnorm <= tol {
-			return x, Stats{Iterations: it, Residual: Norm2(r) / bnorm}, nil
-		}
-	}
-	return x, Stats{Iterations: maxIter, Residual: Norm2(r) / bnorm}, ErrNoConvergence
-}
-
-// LU is a dense LU factorization with partial pivoting. It is the fallback
-// for small systems and for operating points where the Krylov solvers
-// break down (e.g. matrices driven indefinite by leakage feedback).
+// LU is a dense LU factorization with partial pivoting, for the small
+// dense systems of the optimizers and the reduced-order model.
 type LU struct {
 	n    int
 	lu   [][]float64
@@ -395,62 +291,4 @@ func (f *LU) Det() float64 {
 		d *= f.lu[i][i]
 	}
 	return d
-}
-
-// SolveAuto solves A·x = b choosing a method automatically: CG first when
-// the matrix is symmetric, falling back to BiCGSTAB, then dense LU for
-// systems small enough to factorize. It is the entry point used by the
-// thermal package. A MarkSymmetric stamp on the matrix skips the
-// per-solve symmetry scan, and SolveOptions.Precond skips the per-solve
-// IC(0) factorization (factorization caching).
-//
-//oftec:allocok returns a freshly allocated solution vector by contract; iteration scratch comes from SolveOptions.Work
-func SolveAuto(a *CSR, b []float64, opts SolveOptions) ([]float64, Stats, error) {
-	const denseLimit = 3000
-
-	if a.SymmetricHint(1e-12) {
-		// IC(0)-preconditioned CG first: on the conduction-dominated
-		// thermal matrices it converges in a fraction of the Jacobi
-		// iterations. Factorization failure (indefinite matrix near
-		// thermal runaway) falls through to the Jacobi variants.
-		pre := opts.Precond
-		if pre == nil {
-			if ic, err := NewICPreconditioner(a); err == nil {
-				pre = ic
-			}
-		}
-		if pre != nil {
-			if x, st, err := CGPrecond(a, b, pre, opts); err == nil {
-				return x, st, nil
-			}
-		}
-		if x, st, err := CG(a, b, opts); err == nil {
-			return x, st, nil
-		}
-	}
-	if x, st, err := BiCGSTAB(a, b, opts); err == nil {
-		return x, st, nil
-	}
-	if a.N() <= denseLimit {
-		f, err := NewLU(a.Dense())
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		x, err := f.Solve(b)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		// Report the same statistic as the iterative solvers: the relative
-		// 2-norm residual ‖b−Ax‖₂/‖b‖₂ that SolveOptions.Tol is defined
-		// against (the historical res/(1+‖b‖) mixed an ∞-norm numerator
-		// with a shifted denominator and understated the residual).
-		r := make([]float64, a.N())
-		a.Residual(r, x, b)
-		res := Norm2(r)
-		if bnorm := Norm2(b); bnorm > 0 {
-			res /= bnorm
-		}
-		return x, Stats{Iterations: 1, Residual: res}, nil
-	}
-	return nil, Stats{}, ErrNoConvergence
 }

@@ -65,7 +65,9 @@ func TestPowerBalanceProperty(t *testing.T) {
 		rhs := d.HotSideHeat(th, dT, i) - d.ColdSideHeat(tc, dT, i)
 		return math.Abs(lhs-rhs) < 1e-9*(1+math.Abs(lhs))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	const seed = 1
+	t.Logf("quick.Check seed %d", seed)
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(seed))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -170,7 +172,9 @@ func TestElementEquivalenceProperty(t *testing.T) {
 		i := rng.Float64() * 5
 		return e.VerifyEquation1(tc, th, i) < 1e-9
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	const seed = 2
+	t.Logf("quick.Check seed %d", seed)
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(seed))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -23,8 +23,8 @@ import (
 // a batched result is reflect.DeepEqual to the per-point result from the
 // same seed (the equivalence suite pins this). A column the lockstep
 // solve cannot finish (breakdown, iteration budget) falls back to the
-// scalar path, which reproduces the identical failure and proceeds down
-// the full SolveAuto ladder exactly as a per-point call would.
+// scalar path, which reproduces the identical failure — the same
+// ErrIndefinite certificate — exactly as a per-point call would.
 
 // batchWidth is the lockstep column count: wide enough to amortize the
 // per-iteration pattern walk over a cache line of float64 columns,
@@ -102,17 +102,8 @@ func (m *Model) EvaluateBatch(ctx context.Context, pts []BatchPoint, warm []floa
 			},
 			func(i int, t []float64, stats sparse.Stats) *Result {
 				itec := pts[i].ITEC
-				ver := m.versionFor(verKey{omega: omega, itec: itec, linear: true})
-				res := (*Result)(nil)
-				if !m.physical(t) {
-					res = m.runawayResult(omega, itec, stats)
-				} else {
-					res = m.buildResult(omega, itec, t, stats, true)
-					if res.MaxChipTemp > m.cfg.runawayTemp() {
-						res = m.runawayResult(omega, itec, stats)
-					}
-				}
-				m.storeResult(ver, res)
+				res := m.steadyState(omega, itec, t, stats, nil)
+				m.storeResult(m.versionFor(verKey{omega: omega, itec: itec, linear: true}), res)
 				return res
 			},
 			func(i int, seed []float64) (*Result, error) {
@@ -196,15 +187,7 @@ func (m *Model) EvaluateZonedBatch(ctx context.Context, z *Zoning, pts []ZonedPo
 			func(i int) (*Result, bool) { return nil, false }, // zoned points are not memoized
 			func(i int, t []float64, stats sparse.Stats) *Result {
 				currents := pts[i].Currents
-				if !m.physical(t) {
-					return m.runawayResult(omega, maxCur[i], stats)
-				}
-				res := m.buildResult(omega, maxCur[i], t, stats, true)
-				res.PTEC = m.tecPowerFunc(t, func(cell int) float64 { return currents[z.zoneOf[cell]] })
-				if res.MaxChipTemp > m.cfg.runawayTemp() {
-					return m.runawayResult(omega, maxCur[i], stats)
-				}
-				return res
+				return m.zonedSteadyState(omega, maxCur[i], t, stats, nil, func(cell int) float64 { return currents[z.zoneOf[cell]] })
 			},
 			func(i int, seed []float64) (*Result, error) {
 				return m.EvaluateZonedWarm(omega, z, pts[i].Currents, seed)
@@ -308,8 +291,8 @@ func (m *Model) evaluateGroup(
 		}
 		if !icOK {
 			// No slice factorization (matrix not SPD enough): the lockstep
-			// rung is unavailable, so every point takes the per-point
-			// ladder — the same one it would have taken solo.
+			// solve is unavailable, so every point takes the per-point
+			// SolveAuto — the same one it would have taken solo.
 			for _, pi := range chunk {
 				res, err := fallback(pi, seed)
 				if err != nil {
@@ -411,9 +394,9 @@ func (m *Model) evaluateGroup(
 				results[pi] = finish(pi, sols[j], stats[j])
 				continue
 			}
-			// Lockstep rung failed for this column: re-solve per-point
-			// from the same seed. The first CG rung reproduces the same
-			// failure and the ladder continues exactly as a solo call.
+			// The lockstep solve failed for this column: re-solve it
+			// per-point from the same seed, which reproduces the same
+			// failure exactly as a solo call would.
 			res, err := fallback(pi, seed)
 			if err != nil {
 				return err

@@ -319,3 +319,44 @@ func TestEvaluateBatchValidation(t *testing.T) {
 		t.Error("negative zone current accepted")
 	}
 }
+
+// TestRunawayCertificateOmegaZeroRow: on the ω=0 row of the Basicmath
+// 40-point surface at paper resolution (TEC-only cooling) every point
+// runs away, every failed solve ends in the negative-curvature
+// certificate, and the batched row stays DeepEqual to the per-point one.
+func TestRunawayCertificateOmegaZeroRow(t *testing.T) {
+	cfg := DefaultConfig()
+	const nI = 40
+	pts := make([]BatchPoint, nI)
+	for j := range pts {
+		pts[j] = BatchPoint{Omega: 0, ITEC: cfg.TEC.MaxCurrent * float64(j) / (nI - 1)}
+	}
+	batched, err := benchModel(t, cfg, "Basicmath").EvaluateBatch(context.Background(), pts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo := benchModel(t, cfg, "Basicmath")
+	var warm []float64
+	causes := map[RunawayCause]int{}
+	for j, p := range pts {
+		res, err := solo.EvaluateWarm(p.Omega, p.ITEC, warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Runaway {
+			warm = res.T
+			t.Errorf("I=%.3f A: TEC-only point did not run away (𝒯=%.1f K)", p.ITEC, res.MaxChipTemp)
+		}
+		causes[res.RunawayCause]++
+		if (res.RunawayCause == RunawaySolve) != res.SolveStats.Indefinite {
+			t.Errorf("I=%.3f A: cause %v with SolveStats %+v; a failed solve must carry the certificate", p.ITEC, res.RunawayCause, res.SolveStats)
+		}
+		if !reflect.DeepEqual(res, batched[j]) {
+			t.Errorf("I=%.3f A: batched result differs from per-point:\n got %+v\nwant %+v", p.ITEC, batched[j], res)
+		}
+	}
+	t.Logf("ω=0 row runaway causes: %v", causes)
+	if causes[RunawaySolve] == 0 {
+		t.Error("no point on the row reached the certificate")
+	}
+}

@@ -111,14 +111,12 @@ func referenceEvaluate(t *testing.T, m *Model, omega, itec float64) *Result {
 	warm := make([]float64, m.n)
 	sparse.Fill(warm, m.cfg.Ambient)
 	temps, stats, err := m.solve(mat, rhs, warm)
-	if err != nil || !m.physical(temps) {
-		return m.runawayResult(omega, itec, stats)
-	}
-	res := m.buildResult(omega, itec, temps, stats, true)
-	if res.MaxChipTemp > m.cfg.runawayTemp() {
-		return m.runawayResult(omega, itec, stats)
-	}
-	return res
+	return m.steadyState(omega, itec, temps, stats, err)
+}
+
+// solve runs the sparse solve of a reference assembly from warm.
+func (m *Model) solve(mat *sparse.CSR, rhs, warm []float64) ([]float64, sparse.Stats, error) {
+	return sparse.SolveAuto(mat, rhs, sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, X0: warm})
 }
 
 func TestEvaluateMatchesReferencePath(t *testing.T) {

@@ -141,6 +141,8 @@ func (m *Model) EvaluateZonedGrad(omega float64, z *Zoning, currents []float64) 
 //	dJ/dx = ∂j/∂x + λᵀ(∂b/∂x − (∂G/∂x)·T)
 //
 // reduces to a handful of O(n) dot products over the sink and TEC nodes.
+// G is symmetric (buildSymbolic checks it), so each adjoint solve
+// G⁻ᵀ = G⁻¹ is a forward SolveAuto under the cached slice factor.
 //
 //oftec:allocok two solution vectors per gradient by SolveAuto contract; scratch is pooled
 func (m *Model) gradientAt(res *Result, omega float64, zoneOf []int, currents []float64) (*Gradient, error) {
@@ -195,7 +197,7 @@ func (m *Model) gradientAt(res *Result, omega float64, zoneOf []int, currents []
 		adjRHS[m.node(planeTECHot, i)] += alpha * iz
 		adjRHS[m.node(planeTECCold, i)] -= alpha * iz
 	}
-	lamP, stP, err := sparse.SolveTranspose(sc.mat, adjRHS, opts)
+	lamP, stP, err := sparse.SolveAuto(sc.mat, adjRHS, opts)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: power adjoint solve: %w", err)
 	}
@@ -208,7 +210,7 @@ func (m *Model) gradientAt(res *Result, omega float64, zoneOf []int, currents []
 	for i := 0; i < nc; i++ {
 		adjRHS[m.node(planeChip, i)] = w[i]
 	}
-	lamT, stT, err := sparse.SolveTranspose(sc.mat, adjRHS, opts)
+	lamT, stT, err := sparse.SolveAuto(sc.mat, adjRHS, opts)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: temperature adjoint solve: %w", err)
 	}

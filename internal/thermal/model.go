@@ -535,12 +535,11 @@ func (m *Model) buildSymbolic() error {
 		return err
 	}
 	// The base couplings are symmetric by construction (addCoupling stamps
-	// both triangles); verify once, then every patched refresh re-stamps
-	// the hint so SolveAuto skips its per-solve symmetry scan.
-	if !pat.SymmetricHint(1e-12) {
+	// both triangles) and every later patch is diagonal; verify once, so
+	// the SPD-only SolveAuto may assume symmetry on every refresh.
+	if !pat.IsSymmetric(1e-12) {
 		return fmt.Errorf("thermal: base conduction matrix is not symmetric")
 	}
-	pat.MarkSymmetric(true)
 	m.basePat = pat
 	m.baseVals = make([]float64, pat.NNZ())
 	if err := pat.CopyValues(m.baseVals); err != nil {
@@ -690,7 +689,6 @@ func (m *Model) assembleInto(sc *evalScratch, omega float64, cur func(int) float
 	}
 
 	sc.mat.SetVersion(0)
-	sc.mat.MarkSymmetric(true)
 }
 
 // solveScratch runs the sparse solve through the scratch workspace. All
@@ -808,18 +806,12 @@ func (m *Model) assembleReference(omega float64, cur func(int) float64, linearLe
 	return mat, rhs, nil
 }
 
-// solve runs the sparse solve with a warm start when available.
-func (m *Model) solve(mat *sparse.CSR, rhs, warm []float64) ([]float64, sparse.Stats, error) {
-	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, X0: warm}
-	return sparse.SolveAuto(mat, rhs, opts)
-}
-
 // Evaluate computes the steady state at the operating point (ω, I_TEC)
 // using the Taylor-linearized leakage folded into the linear system —
-// constraint (14) as one sparse solve. A runaway steady state (divergent,
-// non-physical, or hotter than the runaway threshold) is reported in
-// Result.Runaway with infinite temperature/power figures rather than as an
-// error, matching the paper's description of 𝒫 and 𝒯 tending to infinity.
+// constraint (14) as one sparse solve. A runaway steady state (see
+// runawayCause) is reported in Result.Runaway with infinite
+// temperature/power figures rather than as an error, matching the paper's
+// description of 𝒫 and 𝒯 tending to infinity.
 func (m *Model) Evaluate(omega, iTEC float64) (*Result, error) {
 	return m.EvaluateWarm(omega, iTEC, nil)
 }
@@ -854,15 +846,7 @@ func (m *Model) EvaluateWarm(omega, iTEC float64, warm []float64) (*Result, erro
 		warm = sc.warm
 	}
 	t, stats, err := m.solveScratch(sc, omega, warm)
-	res := (*Result)(nil)
-	if err != nil || !m.physical(t) {
-		res = m.runawayResult(omega, iTEC, stats)
-	} else {
-		res = m.buildResult(omega, iTEC, t, stats, true)
-		if res.MaxChipTemp > m.cfg.runawayTemp() {
-			res = m.runawayResult(omega, iTEC, stats)
-		}
-	}
+	res := m.steadyState(omega, iTEC, t, stats, err)
 	m.storeResult(ver, res)
 	return res, nil
 }
@@ -919,27 +903,19 @@ func (m *Model) EvaluateExact(omega, iTEC float64) (*Result, error) {
 		}
 		var solveErr error
 		t, stats, solveErr = m.solveScratch(sc, omega, warm)
-		if solveErr != nil || !m.physical(t) {
-			res := m.runawayResult(omega, iTEC, stats)
+		if cause := m.runawayCause(t, solveErr); cause != NoRunaway {
+			res := m.runawayResult(omega, iTEC, stats, cause)
 			m.storeResult(solVer, res)
 			return res, nil
 		}
 		warm = t
-		var maxDelta, maxT float64
+		var maxDelta float64
 		for i := 0; i < nc; i++ {
 			nt := t[m.node(planeChip, i)]
 			if d := math.Abs(nt - tChip[i]); d > maxDelta {
 				maxDelta = d
 			}
-			if nt > maxT {
-				maxT = nt
-			}
 			tChip[i] = nt
-		}
-		if maxT > m.cfg.runawayTemp() {
-			res := m.runawayResult(omega, iTEC, stats)
-			m.storeResult(solVer, res)
-			return res, nil
 		}
 		if maxDelta < 1e-4 {
 			res := m.buildResult(omega, iTEC, t, stats, false)
@@ -949,7 +925,7 @@ func (m *Model) EvaluateExact(omega, iTEC float64) (*Result, error) {
 		}
 	}
 	// No convergence within the budget: treat as runaway.
-	res := m.runawayResult(omega, iTEC, stats)
+	res := m.runawayResult(omega, iTEC, stats, RunawayDiverged)
 	m.storeResult(solVer, res)
 	return res, nil
 }
@@ -976,6 +952,43 @@ func (m *Model) checkWarm(warm []float64) error {
 		return fmt.Errorf("thermal: warm start has %d nodes, model has %d", len(warm), m.n)
 	}
 	return nil
+}
+
+// runawayCause is the one runaway classifier of a steady-state solve
+// returning field t and error err. The point is runaway when
+//
+//   - the solve failed: SolveAuto's ErrIndefinite certifies that the
+//     linearized system (conduction, minus the leakage slope, plus the
+//     Peltier diagonal terms) is no longer positive definite;
+//   - the field is non-physical (NaN, infinite or ≤ 0 K); or
+//   - the hottest chip cell exceeds Config.RunawayTemp.
+//
+// The temperature bound stays beside the certificate: near the runaway
+// wall the system is still positive definite, but the linearized leakage
+// drives its solution far past any temperature the chip could reach.
+func (m *Model) runawayCause(t []float64, err error) RunawayCause {
+	switch {
+	case err != nil:
+		return RunawaySolve
+	case !m.physical(t):
+		return RunawayNonPhysical
+	}
+	limit := m.cfg.runawayTemp()
+	for i := 0; i < m.grids[planeChip].NumCells(); i++ {
+		if t[m.node(planeChip, i)] > limit {
+			return RunawayHot
+		}
+	}
+	return NoRunaway
+}
+
+// steadyState materializes the Result of a linearized solve, classified
+// by runawayCause.
+func (m *Model) steadyState(omega, iTEC float64, t []float64, stats sparse.Stats, err error) *Result {
+	if cause := m.runawayCause(t, err); cause != NoRunaway {
+		return m.runawayResult(omega, iTEC, stats, cause)
+	}
+	return m.buildResult(omega, iTEC, t, stats, true)
 }
 
 // physical reports whether the temperature field is physically meaningful.

@@ -17,6 +17,9 @@ type Result struct {
 	// temperature and power figures below are +Inf (the paper: "the value
 	// of 𝒫 and 𝒯 tends to infinity for small values of ω").
 	Runaway bool
+	// RunawayCause records which test declared the runaway; with
+	// RunawaySolve, SolveStats.Indefinite marks the certificate.
+	RunawayCause RunawayCause
 
 	// T is the full node temperature vector in kelvin (nil on runaway).
 	T []float64
@@ -59,21 +62,56 @@ func (r *Result) String() string {
 		r.Omega, r.ITEC, units.KToC(r.MaxChipTemp), r.CoolingPower(), r.PLeakage, r.PTEC, r.PFan)
 }
 
+// RunawayCause says which test classified a steady state as thermal
+// runaway (see Model.runawayCause).
+type RunawayCause uint8
+
+const (
+	NoRunaway RunawayCause = iota
+	// RunawaySolve: the sparse solve failed. SolveStats.Indefinite set
+	// means it ended in the negative-curvature certificate.
+	RunawaySolve
+	// RunawayNonPhysical: the solved field holds a NaN, infinite or
+	// non-positive temperature.
+	RunawayNonPhysical
+	// RunawayHot: the hottest chip cell exceeds Config.RunawayTemp.
+	RunawayHot
+	// RunawayDiverged: EvaluateExact's leakage fixed point did not settle.
+	RunawayDiverged
+)
+
+func (c RunawayCause) String() string {
+	switch c {
+	case NoRunaway:
+		return "none"
+	case RunawaySolve:
+		return "solve"
+	case RunawayNonPhysical:
+		return "non-physical"
+	case RunawayHot:
+		return "hot"
+	case RunawayDiverged:
+		return "diverged"
+	}
+	return fmt.Sprintf("RunawayCause(%d)", uint8(c))
+}
+
 // runawayResult builds the infinite-objective result for a runaway point.
 //
 //oftec:allocok result materialization; runs once per miss, then memoized by version
-func (m *Model) runawayResult(omega, iTEC float64, stats sparse.Stats) *Result {
+func (m *Model) runawayResult(omega, iTEC float64, stats sparse.Stats, cause RunawayCause) *Result {
 	return &Result{
-		Omega:       omega,
-		ITEC:        iTEC,
-		Runaway:     true,
-		MaxChipTemp: math.Inf(1),
-		MaxChipCell: -1,
-		PLeakage:    math.Inf(1),
-		PTEC:        m.tecPowerAt(nil, iTEC),
-		PFan:        m.act.Power(omega),
-		PDynamic:    m.DynamicPowerTotal(),
-		SolveStats:  stats,
+		Omega:        omega,
+		ITEC:         iTEC,
+		Runaway:      true,
+		RunawayCause: cause,
+		MaxChipTemp:  math.Inf(1),
+		MaxChipCell:  -1,
+		PLeakage:     math.Inf(1),
+		PTEC:         m.tecPowerAt(nil, iTEC),
+		PFan:         m.act.Power(omega),
+		PDynamic:     m.DynamicPowerTotal(),
+		SolveStats:   stats,
 	}
 }
 

@@ -134,7 +134,6 @@ type ReducedModel struct {
 	omegaFloor float64 // smallest snapshot ω that did not run away
 	bound      float64 // advertised max |T̃ − T| over chip cells, K
 	kappa      float64 // worst validation |ΔT|∞ / ‖residual‖∞ amplification
-	runawayT   float64
 
 	// Dynamic power enters b₀ only; the projected base RHS is refreshed
 	// lazily when the model's dynamic-power generation moves, so the ROM
@@ -201,8 +200,7 @@ func NewReducedModel(m *Model, opts ROMOptions) (*ReducedModel, error) {
 // factory (which needs the rank, so callers invoke initScratch after the
 // basis exists).
 func newReducedShell(m *Model) (*ReducedModel, error) {
-	cfg := m.Config()
-	r := &ReducedModel{m: m, runawayT: cfg.runawayTemp(), g0: m.act.Conductance(0)}
+	r := &ReducedModel{m: m, g0: m.act.Conductance(0)}
 
 	// Capture the affine base: assemble once at (ω=0, I=0) with the linear
 	// leakage folded in, then copy the matrix values and RHS out of the
@@ -573,21 +571,12 @@ func (r *ReducedModel) Evaluate(omega, itec float64) (*Result, bool, error) {
 		r.rejections.Add(1)
 		return nil, false, nil
 	}
+	// Near or inside the runaway wall the linearized fixed point is
+	// meaningless; let the full model classify the point.
 	t, resNorm, ok := r.reducedSolve(omega, itec)
-	if !ok || !r.m.physical(t) {
+	if !ok || r.m.runawayCause(t, nil) != NoRunaway || (r.kappa > 0 && r.kappa*resNorm > r.bound) {
 		r.rejections.Add(1)
 		return nil, false, nil
 	}
-	if r.kappa > 0 && r.kappa*resNorm > r.bound {
-		r.rejections.Add(1)
-		return nil, false, nil
-	}
-	res := r.m.buildResult(omega, itec, t, sparse.Stats{}, true)
-	if res.MaxChipTemp > r.runawayT {
-		// Near or inside the runaway wall the linearized fixed point is
-		// meaningless; let the full model classify the point.
-		r.rejections.Add(1)
-		return nil, false, nil
-	}
-	return res, true, nil
+	return r.m.buildResult(omega, itec, t, sparse.Stats{}, true), true, nil
 }

@@ -154,15 +154,15 @@ func (m *Model) EvaluateZonedWarm(omega float64, z *Zoning, currents []float64, 
 		sparse.Fill(sc.warm, m.cfg.Ambient)
 	}
 	t, stats, err := m.solveScratch(sc, omega, sc.warm)
-	if err != nil || !m.physical(t) {
-		return m.runawayResult(omega, maxCur, stats), nil
+	return m.zonedSteadyState(omega, maxCur, t, stats, err, cur), nil
+}
+
+// zonedSteadyState is steadyState for a zoned solve: the result echoes
+// the maximum zone current, and P_TEC sums the per-zone currents cur.
+func (m *Model) zonedSteadyState(omega, maxCur float64, t []float64, stats sparse.Stats, err error, cur func(int) float64) *Result {
+	res := m.steadyState(omega, maxCur, t, stats, err)
+	if !res.Runaway {
+		res.PTEC = m.tecPowerFunc(t, cur)
 	}
-	res := m.buildResult(omega, maxCur, t, stats, true)
-	// buildResult computed PTEC with the uniform maxCur; redo with the
-	// per-zone currents.
-	res.PTEC = m.tecPowerFunc(t, cur)
-	if res.MaxChipTemp > m.cfg.runawayTemp() {
-		return m.runawayResult(omega, maxCur, stats), nil
-	}
-	return res, nil
+	return res
 }

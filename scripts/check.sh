@@ -59,13 +59,16 @@ echo "== go test -race (solver conformance + fallback fault injection)"
 go test -race -run 'Conformance|Fallback|Cancel|Trace|Stop|FaultWrapper|EvalAccounting|Gradient' \
 	./internal/solver/... ./internal/core/...
 
-# The adjoint-gradient gate by name: transpose solves reusing the cached
-# factorization, the adjoint-vs-central-difference agreement suite
-# (scalar and zoned), the smoothed-max bracket, the backend capability
-# chain, and the core gradient-mode runs — the contract that keeps
-# Options.Gradient's derivatives exact.
-echo "== go test -race (adjoint gradients vs finite differences)"
-go test -race -run 'Adjoint|SmoothMax|Gradient|SolveTranspose|MulVecT' \
+# The adjoint-gradient and SPD-solve gate by name: SolveAuto under the
+# caller's cached factorization (the adjoint solves reuse it), its
+# negative-curvature certificate on the IC-PCG and Jacobi-CG paths and
+# on the TEC-only runaway row, the adjoint-vs-central-difference
+# agreement suite (scalar and zoned), the smoothed-max bracket, the
+# backend capability chain, and the core gradient-mode runs — the
+# contract that keeps Options.Gradient's derivatives exact and runaway
+# certified.
+echo "== go test -race (adjoint gradients vs finite differences, SPD certificate)"
+go test -race -run 'Adjoint|SmoothMax|Gradient|SolveAuto|RunawayCertificate' \
 	./internal/sparse/... ./internal/thermal/... ./internal/backend/... ./internal/core/...
 
 # The backend-conformance gate by name: the k=1 zoned/scalar agreement
