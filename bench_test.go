@@ -21,6 +21,7 @@ import (
 	"oftec/internal/core"
 	"oftec/internal/dvfs"
 	"oftec/internal/experiments"
+	"oftec/internal/parallel"
 	"oftec/internal/solver"
 	"oftec/internal/thermal"
 	"oftec/internal/units"
@@ -104,14 +105,14 @@ func BenchmarkFig6bSurface(b *testing.B) {
 }
 
 // BenchmarkSurfaceGrid measures the parallel fan-out engine on the
-// Figure 6 grid shape (40×40 = 1600 independent operating points) against
-// the serial reference path, at reduced thermal resolution so one
+// Figure 6 grid shape (40×40 = 1600 independent operating points) on the
+// per-point reference sweep, serial against parallel, at reduced thermal resolution so one
 // iteration stays in benchmark territory. Every Surface call builds a
 // fresh system, so both variants run cold-cache and the comparison is
 // pure fan-out: at GOMAXPROCS ≥ 4 the parallel variant is expected to be
-// ≥ 2× faster in wall-clock, with byte-identical output (asserted by
-// TestSurfaceParallelMatchesSerial; the sanity checks here only guard the
-// surface shape). On a single-CPU host the two variants time alike.
+// ≥ 2× faster in wall-clock, with byte-identical output (rows share no
+// state; the sanity checks here only guard the surface shape). On a
+// single-CPU host the two variants time alike.
 func BenchmarkSurfaceGrid(b *testing.B) {
 	setup := experiments.FastSetup()
 	for _, bc := range []struct {
@@ -129,11 +130,10 @@ func BenchmarkSurfaceGrid(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				// Per-point reference path: this benchmark isolates the
+				// Per-point reference sweep: this benchmark isolates the
 				// fan-out engine; the batched path has its own benchmark.
-				sys.SetBatching(false)
 				b.StartTimer()
-				pts, err := experiments.SurfaceSystem(context.Background(), sys, 40, 40, bc.workers)
+				pts, err := perPointSurface(context.Background(), sys, 40, 40, bc.workers)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -141,6 +141,36 @@ func BenchmarkSurfaceGrid(b *testing.B) {
 			}
 		})
 	}
+}
+
+// perPointSurface is the per-point reference for experiments.SurfaceSystem
+// on the same grid: every point is submitted on its own through the
+// system's evaluation cache, as SurfaceSystem submits its rows, and the
+// converged field at each point warm-starts the next I step of its row
+// (the carry never crosses rows).
+func perPointSurface(ctx context.Context, sys *core.System, nOmega, nI, workers int) ([]experiments.SurfacePoint, error) {
+	cfg := sys.Config()
+	out := make([]experiments.SurfacePoint, nOmega*nI)
+	err := parallel.ForEach(ctx, nOmega, workers, func(i int) error {
+		omega := cfg.UMax() * float64(i) / float64(nOmega-1)
+		var warm []float64
+		for j := 0; j < nI; j++ {
+			itec := cfg.TEC.MaxCurrent * float64(j) / float64(nI-1)
+			rs, err := sys.EvaluateBatchContext(ctx, []backend.OpPoint{backend.Scalar(omega, itec)}, warm)
+			if err != nil {
+				return err
+			}
+			res := rs[0]
+			p := experiments.SurfacePoint{Omega: omega, ITEC: itec, Runaway: res.Runaway}
+			if !res.Runaway {
+				warm = res.T
+				p.MaxTemp, p.Power = res.MaxChipTemp, res.CoolingPower()
+			}
+			out[i*nI+j] = p
+		}
+		return nil
+	})
+	return out, err
 }
 
 func checkSurfaceShape(b *testing.B, pts []experiments.SurfacePoint) {
@@ -158,7 +188,7 @@ func checkSurfaceShape(b *testing.B, pts []experiments.SurfacePoint) {
 
 // BenchmarkSurfaceGridBatched is the headline comparison for the blocked
 // multi-RHS engine: the cold 40×40 Figure 6 sweep, serial, once through
-// the per-point reference path and once with whole ω-rows submitted as
+// the per-point reference sweep and once with whole ω-rows submitted as
 // batches (one assembly per row, width-8 blocked CG under the shared
 // slice factorization). Each iteration builds a fresh system outside the
 // timer so both variants run cold-cache and the ratio is pure evaluation
@@ -187,9 +217,12 @@ func BenchmarkSurfaceGridBatched(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				sys.SetBatching(bc.batched)
+				sweep := perPointSurface
+				if bc.batched {
+					sweep = experiments.SurfaceSystem
+				}
 				b.StartTimer()
-				pts, err := experiments.SurfaceSystem(context.Background(), sys, 40, 40, 1)
+				pts, err := sweep(context.Background(), sys, 40, 40, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -412,6 +445,17 @@ func BenchmarkTransientBoost(b *testing.B) {
 	}
 }
 
+// solveAt is one series-deployment Model.Solve at (ω, I), with a
+// stack results buffer so that a memo hit allocates nothing.
+func solveAt(m *thermal.Model, omega, itec float64) (*thermal.Result, error) {
+	var buf [1]*thermal.Result
+	res, err := m.Solve(context.Background(), nil, []thermal.Point{{Omega: omega, Currents: []float64{itec}}}, nil, buf[:0])
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
 // BenchmarkEvaluate is the hot-path trajectory benchmark: one linearized
 // steady-state evaluation (constraint (14)) at the paper's full
 // resolution, cycling a small set of operating points the way an
@@ -431,7 +475,7 @@ func BenchmarkEvaluate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		omega := 220 + 25*float64(i%8)
 		itec := 1 + 0.2*float64(i%4)
-		res, err := m.Evaluate(omega, itec)
+		res, err := solveAt(m, omega, itec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -490,7 +534,7 @@ func BenchmarkEvaluateCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		omega := 220 + 1e-4*float64(i)
-		res, err := m.Evaluate(omega, 1.2)
+		res, err := solveAt(m, omega, 1.2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -573,7 +617,7 @@ func BenchmarkSteadyStateSolve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Vary the operating point so the system's cache never hits.
 		omega := 200 + float64(i%97)
-		res, err := m.Evaluate(omega, 1+float64(i%5)/10)
+		res, err := solveAt(m, omega, 1+float64(i%5)/10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -596,7 +640,7 @@ func BenchmarkAblationLeakageModel(b *testing.B) {
 	m := benchModel(b, sys)
 	b.Run("linearized", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := m.Evaluate(250+float64(i%13), 1); err != nil {
+			if _, err := solveAt(m, 250+float64(i%13), 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -631,7 +675,7 @@ func BenchmarkAblationGridResolution(b *testing.B) {
 			var tmax float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := m.Evaluate(262+float64(i%7), 2)
+				r, err := solveAt(m, 262+float64(i%7), 2)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -42,7 +42,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "default per-request deadline (0 = 30s)")
 	maxTimeout := flag.Duration("max-timeout", 0, "clamp on client-requested deadlines (0 = 2m)")
 	grace := flag.Duration("grace", 15*time.Second, "shutdown grace period for in-flight requests")
-	batch := flag.Bool("batch", true, "blocked multi-RHS evaluation for sweep/Pareto traffic")
 	romCacheDir := flag.String("rom-cache-dir", "", "persist ROM bases here so restarts skip snapshot collection")
 	flag.Parse()
 
@@ -52,7 +51,6 @@ func main() {
 		MaxModels:      *maxModels,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
-		DisableBatch:   !*batch,
 		ROMCacheDir:    *romCacheDir,
 	})
 	srv := &http.Server{Handler: s.Handler()}

@@ -163,6 +163,11 @@ func ModelOf(ev Evaluator) (*thermal.Model, bool) {
 	return nil, false
 }
 
+// point is op as the thermal layer's operating point.
+func (op OpPoint) point() thermal.Point {
+	return thermal.Point{Omega: op.Omega, Currents: op.Currents}
+}
+
 // validate rejects malformed operating points before they reach a
 // concrete backend.
 func (op OpPoint) validate() error {

@@ -54,10 +54,11 @@ func TestRegistryNames(t *testing.T) {
 func TestFullScalarMatchesModel(t *testing.T) {
 	p := testPlant(t, "full", "CRC32")
 	full := p.(*Full)
-	want, err := full.Model().Evaluate(200, 1)
+	solved, err := full.Model().Solve(context.Background(), nil, []thermal.Point{Scalar(200, 1).point()}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := solved[0]
 	got, err := p.Evaluate(context.Background(), Scalar(200, 1), nil)
 	if err != nil {
 		t.Fatal(err)

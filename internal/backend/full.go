@@ -14,7 +14,7 @@ import (
 // factorization cache and result memo underneath). It is the
 // authoritative end of every fall-through chain.
 type Full struct {
-	m *thermal.Model
+	fullSolver
 
 	// name is the registry name the backend reports; empty means "full".
 	// Registry variants that are a Full over a re-actuated model
@@ -31,7 +31,7 @@ type Full struct {
 }
 
 // NewFull wraps an assembled thermal model as the exact backend.
-func NewFull(m *thermal.Model) *Full { return &Full{m: m} }
+func NewFull(m *thermal.Model) *Full { return &Full{fullSolver: fullSolver{m: m}} }
 
 // Renamed sets the registry name the backend reports and returns it;
 // used by registry variants built over a re-actuated model.
@@ -46,24 +46,6 @@ func (f *Full) Name() string {
 		return f.name
 	}
 	return "full"
-}
-
-// Config returns the underlying model's configuration.
-func (f *Full) Config() thermal.Config { return f.m.Config() }
-
-// Model exposes the underlying model for cmd-level reporting.
-func (f *Full) Model() *thermal.Model { return f.m }
-
-// Evaluate computes the exact steady state. Zoned (k > 1) points need a
-// zone-to-cell map and must go through WithZoning.
-func (f *Full) Evaluate(_ context.Context, op OpPoint, warm []float64) (*thermal.Result, error) {
-	if err := op.validate(); err != nil {
-		return nil, err
-	}
-	if op.K() != 1 {
-		return nil, fmt.Errorf("backend: full backend got a %d-zone point without zoning (use WithZoning)", op.K())
-	}
-	return f.m.EvaluateWarm(op.Omega, op.Currents[0], warm)
 }
 
 // EvaluateExact verifies a scalar point with the exact exponential
@@ -100,7 +82,7 @@ func (f *Full) WithZoning(z *thermal.Zoning) (Evaluator, error) {
 	if z == nil {
 		return nil, fmt.Errorf("backend: nil zoning")
 	}
-	return &zonedFull{m: f.m, z: z}, nil
+	return &zonedFull{fullSolver{m: f.m, z: z}}, nil
 }
 
 // Select returns the named sibling backend over the same model.
@@ -119,20 +101,58 @@ func (f *Full) Select(name string) (Evaluator, error) {
 }
 
 // zonedFull evaluates k-zone operating points on the full model. A
-// single-zone point is delegated to the scalar path inside the thermal
-// layer, so k=1 zoned evaluation is bit-identical to scalar evaluation.
-type zonedFull struct {
+// single-zone point is the series deployment inside the thermal layer, so
+// k=1 zoned evaluation is bit-identical to scalar evaluation.
+type zonedFull struct{ fullSolver }
+
+func (zf *zonedFull) Name() string { return "full/zoned" }
+
+// fullSolver is the exact evaluation shared by Full (z == nil: the
+// series deployment, one current per point; zoned points go through
+// WithZoning) and zonedFull (one current per zone of z): Evaluate,
+// EvaluateBatch and EvaluateGrad are the model's Solve and SolveGrad.
+type fullSolver struct {
 	m *thermal.Model
 	z *thermal.Zoning
 }
 
-func (zf *zonedFull) Name() string           { return "full/zoned" }
-func (zf *zonedFull) Config() thermal.Config { return zf.m.Config() }
-func (zf *zonedFull) Model() *thermal.Model  { return zf.m }
+// Config returns the underlying model's configuration.
+func (s fullSolver) Config() thermal.Config { return s.m.Config() }
 
-func (zf *zonedFull) Evaluate(_ context.Context, op OpPoint, warm []float64) (*thermal.Result, error) {
+// Model exposes the underlying model for cmd-level reporting.
+func (s fullSolver) Model() *thermal.Model { return s.m }
+
+// Evaluate computes the exact steady state at op.
+func (s fullSolver) Evaluate(ctx context.Context, op OpPoint, warm []float64) (*thermal.Result, error) {
 	if err := op.validate(); err != nil {
 		return nil, err
 	}
-	return zf.m.EvaluateZonedWarm(op.Omega, zf.z, op.Currents, warm)
+	var buf [1]*thermal.Result
+	res, err := s.m.Solve(ctx, s.z, []thermal.Point{op.point()}, warm, buf[:0])
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// EvaluateBatch evaluates the points as blocked multi-RHS solves on the
+// full model, grouped by fan speed.
+func (s fullSolver) EvaluateBatch(ctx context.Context, ops []OpPoint, warm []float64) ([]*thermal.Result, error) {
+	pts := make([]thermal.Point, len(ops))
+	for i, op := range ops {
+		if err := op.validate(); err != nil {
+			return nil, err
+		}
+		pts[i] = op.point()
+	}
+	return s.m.Solve(ctx, s.z, pts, warm, nil)
+}
+
+// EvaluateGrad computes the adjoint gradient at op; PowerGrad and
+// TempGrad have length 1+k ordered (ω, I₁..I_k).
+func (s fullSolver) EvaluateGrad(_ context.Context, op OpPoint) (*thermal.Gradient, error) {
+	if err := op.validate(); err != nil {
+		return nil, err
+	}
+	return s.m.SolveGrad(s.z, op.point())
 }

@@ -2,7 +2,6 @@ package backend
 
 import (
 	"context"
-	"fmt"
 
 	"oftec/internal/thermal"
 )
@@ -10,7 +9,7 @@ import (
 // GradEvaluator is the capability of computing exact adjoint gradients of
 // the two optimizer objectives at an operating point: ∇𝒫 and ∇𝒯_τ over
 // x = (ω, I₁..I_k), one adjoint solve per objective on the cached
-// factorization (see thermal.Model.EvaluateGrad).
+// factorization (see thermal.Model.SolveGrad).
 //
 // Only backends whose evaluation IS the full linear solve can offer the
 // capability — the ROM's reduced system has different adjoints than the
@@ -41,24 +40,4 @@ func GradientOf(ev Evaluator) (GradEvaluator, bool) {
 		ev = next
 	}
 	return nil, false
-}
-
-// EvaluateGrad computes the scalar adjoint gradient on the full model.
-func (f *Full) EvaluateGrad(_ context.Context, op OpPoint) (*thermal.Gradient, error) {
-	if err := op.validate(); err != nil {
-		return nil, err
-	}
-	if op.K() != 1 {
-		return nil, fmt.Errorf("backend: full backend got a %d-zone gradient point without zoning (use WithZoning)", op.K())
-	}
-	return f.m.EvaluateGrad(op.Omega, op.Currents[0])
-}
-
-// EvaluateGrad computes the zoned adjoint gradient; the returned
-// PowerGrad/TempGrad have length 1+k ordered (ω, I₁..I_k).
-func (zf *zonedFull) EvaluateGrad(_ context.Context, op OpPoint) (*thermal.Gradient, error) {
-	if err := op.validate(); err != nil {
-		return nil, err
-	}
-	return zf.m.EvaluateZonedGrad(op.Omega, zf.z, op.Currents)
 }

@@ -12,42 +12,11 @@ import (
 // EvaluateBatchContext evaluates a block of scalar operating points
 // through the shared cache in one call: hits and in-batch duplicates are
 // classified under one lock, and the unique misses run as blocked
-// multi-RHS solves when the backend has the BatchEvaluator capability.
-// results[i] corresponds to ops[i]. With batching disabled (SetBatching)
-// the points run per-point through the same cache, so the answers are
-// the same either way.
+// multi-RHS solves when the backend has the BatchEvaluator capability
+// (per-point solves otherwise). results[i] corresponds to ops[i].
 func (s *System) EvaluateBatchContext(ctx context.Context, ops []backend.OpPoint, warm []float64) ([]*thermal.Result, error) {
-	if !s.batchOff.Load() {
-		return s.scalar.EvaluateBatch(ctx, ops, warm)
-	}
-	out := make([]*thermal.Result, len(ops))
-	for i, op := range ops {
-		res, err := s.scalar.Evaluate(ctx, op, warm)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
+	return s.scalar.EvaluateBatch(ctx, ops, warm)
 }
-
-// SupportsBatch reports whether batched evaluation is active: the
-// system's backend has the BatchEvaluator capability and batching has not
-// been disabled with SetBatching(false).
-func (s *System) SupportsBatch() bool {
-	if s.batchOff.Load() {
-		return false
-	}
-	_, ok := s.ev.(backend.BatchEvaluator)
-	return ok
-}
-
-// SetBatching enables or disables the blocked evaluation paths —
-// EvaluateBatchContext's multi-RHS solves and the sweep drivers' batch
-// submission. Batching is on by default; disabling it routes every point
-// through the per-point path (a debugging and rollback lever, not a
-// correctness choice: batched and per-point results are identical).
-func (s *System) SetBatching(enabled bool) { s.batchOff.Store(!enabled) }
 
 // primeStartBatch warms the shared cache with the operating points every
 // threshold probe of a Pareto sweep evaluates first — the domain center,
@@ -56,9 +25,6 @@ func (s *System) SetBatching(enabled bool) { s.batchOff.Store(!enabled) }
 // and the start points share one assembly per fan speed. Best-effort:
 // any failure simply surfaces in the real runs.
 func (s *System) primeStartBatch(ctx context.Context, bnd *evalcache.Binding, opts Options, k int) {
-	if !s.SupportsBatch() {
-		return
-	}
 	lower, upper, err := s.bounds(opts.Mode, opts.fixedOmega(), k)
 	if err != nil {
 		return

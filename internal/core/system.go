@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"oftec/internal/backend"
 	"oftec/internal/evalcache"
@@ -179,10 +178,6 @@ type System struct {
 	// per-threshold solves, so tests can fault-inject specific thresholds.
 	// Test instrumentation only; set before any traffic.
 	paretoRunHook func(o Options) (*Outcome, error)
-
-	// batchOff disables the blocked evaluation paths (see SetBatching);
-	// the zero value keeps batching on.
-	batchOff atomic.Bool
 }
 
 // zonedKey identifies one memoized zoned binding: the Options.Backend
@@ -254,24 +249,7 @@ func (s *System) CacheStats() CacheStats { return s.cache.Stats() }
 // using the system's default backend. Concurrent callers requesting the
 // same quantized point share one solve.
 func (s *System) Evaluate(omega, itec float64) (*thermal.Result, error) {
-	return s.EvaluateWarm(omega, itec, nil)
-}
-
-// EvaluateWarm is Evaluate with an optional warm-start temperature field
-// (length NumNodes), typically the T of a neighboring operating point.
-// The hint only steers the iterative solver on a genuine cache miss —
-// hits and coalesced waits return the already-solved result and ignore it
-// — so the answer for a given point is the same either way; the hint
-// merely makes the cold solve cheaper. The warm slice is read, never
-// written.
-func (s *System) EvaluateWarm(omega, itec float64, warm []float64) (*thermal.Result, error) {
-	return s.scalar.Evaluate(context.Background(), backend.Scalar(omega, itec), warm)
-}
-
-// EvaluateWarmContext is EvaluateWarm bounded by a caller context (see
-// EvaluateContext for the cancellation semantics).
-func (s *System) EvaluateWarmContext(ctx context.Context, omega, itec float64, warm []float64) (*thermal.Result, error) {
-	return s.scalar.Evaluate(ctx, backend.Scalar(omega, itec), warm)
+	return s.scalar.Evaluate(context.Background(), backend.Scalar(omega, itec), nil)
 }
 
 // EvaluateContext is Evaluate bounded by a caller context: a cancelled

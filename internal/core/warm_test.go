@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"oftec/internal/backend"
 )
 
 // TestEvaluateWarmMatchesCold pins the warm-start contract: the hint only
@@ -21,7 +24,7 @@ func TestEvaluateWarmMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := warm.EvaluateWarm(200, 1, near.T)
+	got, err := warm.scalar.Evaluate(context.Background(), backend.Scalar(200, 1), near.T)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +37,7 @@ func TestEvaluateWarmMatchesCold(t *testing.T) {
 
 	// Hits ignore the hint entirely: the cached pointer comes back even
 	// with a fresh warm field attached.
-	again, err := warm.EvaluateWarm(200, 1, ref.T)
+	again, err := warm.scalar.Evaluate(context.Background(), backend.Scalar(200, 1), ref.T)
 	if err != nil {
 		t.Fatal(err)
 	}

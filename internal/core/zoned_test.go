@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"oftec/internal/thermal"
 )
 
 func TestZoningValidation(t *testing.T) {
@@ -61,14 +64,16 @@ func TestZonedUniformMatchesScalarPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	omega := 260.0
-	scalar, err := m.Evaluate(omega, 1.5)
+	res, err := m.Solve(context.Background(), nil, []thermal.Point{{Omega: omega, Currents: []float64{1.5}}}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zoned, err := m.EvaluateZoned(omega, z, []float64{1.5, 1.5, 1.5})
+	scalar := res[0]
+	res, err = m.Solve(context.Background(), z, []thermal.Point{{Omega: omega, Currents: []float64{1.5, 1.5, 1.5}}}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	zoned := res[0]
 	if d := math.Abs(scalar.MaxChipTemp - zoned.MaxChipTemp); d > 1e-6 {
 		t.Errorf("uniform zoned Tmax differs by %g K", d)
 	}
@@ -85,13 +90,17 @@ func TestZonedEvaluateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.EvaluateZoned(100, nil, []float64{1}); err == nil {
-		t.Error("nil zoning accepted")
+	solve := func(z *thermal.Zoning, currents ...float64) error {
+		_, err := m.Solve(context.Background(), z, []thermal.Point{{Omega: 100, Currents: currents}}, nil, nil)
+		return err
 	}
-	if _, err := m.EvaluateZoned(100, z, []float64{1}); err == nil {
+	if solve(nil, 1, 1, 1) == nil {
+		t.Error("zone currents accepted without a zoning")
+	}
+	if solve(z, 1) == nil {
 		t.Error("wrong current count accepted")
 	}
-	if _, err := m.EvaluateZoned(100, z, []float64{1, -1, 1}); err == nil {
+	if solve(z, 1, -1, 1) == nil {
 		t.Error("negative zone current accepted")
 	}
 }

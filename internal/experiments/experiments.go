@@ -100,9 +100,9 @@ func SurfaceContext(ctx context.Context, setup Setup, benchName string, nOmega, 
 }
 
 // SurfaceWorkers is Surface with an explicit fan-out width: zero sizes
-// the pool to GOMAXPROCS, one forces the serial reference path. The unit
-// of parallelism is one ω-row: within a row the converged field at each
-// point warm-starts the next I step, which cuts the solver iterations on
+// the pool to GOMAXPROCS, one runs the rows serially. The unit of
+// parallelism is one ω-row: within a row the converged field of the
+// first point warm-starts the rest, which cuts the solver iterations on
 // the smooth stretches of the surface. The carry never crosses rows, so
 // every point's inputs are fixed by its own row alone and results are
 // identical for any worker count.
@@ -124,50 +124,29 @@ func surface(ctx context.Context, setup Setup, benchName string, nOmega, nI, wor
 // assembling a fresh model per sweep. Grid geometry comes from the
 // system's configuration; ctx bounds the sweep and each point's solve.
 //
-// When the system's backend supports batched evaluation, each ω-row is
-// submitted as one block: the thermal layer assembles and factorizes once
-// per row and sweeps the current axis as blocked multi-RHS solves, with
-// the row's first solution warm-starting the rest (the batch analogue of
-// the per-point carry below). Either way the unit of parallelism is one
-// row and no state crosses rows, so results are identical for any worker
-// count. Disable batching on the system (core.System.SetBatching) to
-// force the per-point reference path.
+// Each ω-row is submitted as one block: the thermal layer assembles and
+// factorizes once per row and sweeps the current axis as blocked
+// multi-RHS solves, with the row's first solution warm-starting the rest.
+// The unit of parallelism is one row and no state crosses rows, so
+// results are identical for any worker count.
 func SurfaceSystem(ctx context.Context, sys *core.System, nOmega, nI, workers int) ([]SurfacePoint, error) {
 	if nOmega < 2 || nI < 2 {
 		return nil, fmt.Errorf("experiments: surface grid %d×%d must be at least 2×2", nOmega, nI)
 	}
 	cfg := sys.Config()
 	out := make([]SurfacePoint, nOmega*nI)
-	batched := sys.SupportsBatch()
 	err := parallel.ForEach(ctx, nOmega, workers, func(i int) error {
 		omega := cfg.UMax() * float64(i) / float64(nOmega-1)
-		if batched {
-			ops := make([]backend.OpPoint, nI)
-			for j := 0; j < nI; j++ {
-				ops[j] = backend.Scalar(omega, cfg.TEC.MaxCurrent*float64(j)/float64(nI-1))
-			}
-			results, err := sys.EvaluateBatchContext(ctx, ops, nil)
-			if err != nil {
-				return err
-			}
-			for j, res := range results {
-				out[i*nI+j] = surfacePoint(omega, ops[j].Currents[0], res)
-			}
-			return nil
-		}
-		// Per-point reference path: the converged field at each point
-		// warm-starts the next I step; the carry never crosses rows.
-		var warm []float64
+		ops := make([]backend.OpPoint, nI)
 		for j := 0; j < nI; j++ {
-			itec := cfg.TEC.MaxCurrent * float64(j) / float64(nI-1)
-			res, err := sys.EvaluateWarmContext(ctx, omega, itec, warm)
-			if err != nil {
-				return err
-			}
-			if !res.Runaway {
-				warm = res.T
-			}
-			out[i*nI+j] = surfacePoint(omega, itec, res)
+			ops[j] = backend.Scalar(omega, cfg.TEC.MaxCurrent*float64(j)/float64(nI-1))
+		}
+		results, err := sys.EvaluateBatchContext(ctx, ops, nil)
+		if err != nil {
+			return err
+		}
+		for j, res := range results {
+			out[i*nI+j] = surfacePoint(omega, ops[j].Currents[0], res)
 		}
 		return nil
 	})

@@ -5,11 +5,43 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"oftec/internal/backend"
+	"oftec/internal/core"
+	"oftec/internal/parallel"
 )
+
+// perPointSurface is the per-point reference sweep on SurfaceSystem's
+// grid: every point is submitted on its own through the system's
+// evaluation cache, as SurfaceSystem submits its rows, and the converged
+// field at each point warm-starts the next I step of its row (the carry
+// never crosses rows).
+func perPointSurface(ctx context.Context, sys *core.System, nOmega, nI, workers int) ([]SurfacePoint, error) {
+	cfg := sys.Config()
+	out := make([]SurfacePoint, nOmega*nI)
+	err := parallel.ForEach(ctx, nOmega, workers, func(i int) error {
+		omega := cfg.UMax() * float64(i) / float64(nOmega-1)
+		var warm []float64
+		for j := 0; j < nI; j++ {
+			itec := cfg.TEC.MaxCurrent * float64(j) / float64(nI-1)
+			rs, err := sys.EvaluateBatchContext(ctx, []backend.OpPoint{backend.Scalar(omega, itec)}, warm)
+			if err != nil {
+				return err
+			}
+			res := rs[0]
+			if !res.Runaway {
+				warm = res.T
+			}
+			out[i*nI+j] = surfacePoint(omega, itec, res)
+		}
+		return nil
+	})
+	return out, err
+}
 
 // TestSurfaceBatchedMatchesPerPoint pins the row-batch submission: the
 // batched sweep must classify every point like the per-point reference
-// path (runaway flags identical) and agree on temperatures and powers to
+// sweep (runaway flags identical) and agree on temperatures and powers to
 // solver tolerance — the two paths warm-start differently (chained carry
 // vs. first-solution seed), so bit-identity is not the contract here;
 // determinism across worker counts is, and is pinned below.
@@ -19,8 +51,8 @@ func TestSurfaceBatchedMatchesPerPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !batchedSys.SupportsBatch() {
-		t.Fatal("full-backend system does not support batching")
+	if _, ok := batchedSys.Backend().(backend.BatchEvaluator); !ok {
+		t.Fatal("full backend lost the BatchEvaluator capability")
 	}
 	batched, err := SurfaceSystem(context.Background(), batchedSys, 9, 5, 0)
 	if err != nil {
@@ -31,8 +63,7 @@ func TestSurfaceBatchedMatchesPerPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refSys.SetBatching(false)
-	ref, err := SurfaceSystem(context.Background(), refSys, 9, 5, 0)
+	ref, err := perPointSurface(context.Background(), refSys, 9, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

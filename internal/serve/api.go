@@ -44,6 +44,10 @@ const (
 	maxParetoThresholds = 16
 	// maxBodyBytes caps a request body.
 	maxBodyBytes = 1 << 20
+	// maxZones caps the zone count a ZoneSpec names (and with it the
+	// length of currents_a). Every zone needs a floorplan unit of its
+	// own; the paper's floorplan has 18.
+	maxZones = 64
 )
 
 // ChipSpec identifies one chip configuration in the fleet. The zero value
@@ -122,6 +126,23 @@ type ZoneSpec struct {
 	Clusters bool `json:"clusters,omitempty"`
 	// ZoneOf is an explicit unit → zone assignment covering every unit.
 	ZoneOf map[string]int `json:"zone_of,omitempty"`
+}
+
+// validate bounds the zone count a spec names before any model is built
+// or any zone-sized allocation made. A nil spec is the scalar path.
+func (z *ZoneSpec) validate() error {
+	if z == nil {
+		return nil
+	}
+	if z.Zones > maxZones {
+		return fmt.Errorf("serve: %d zones exceed the limit of %d", z.Zones, maxZones)
+	}
+	for name, zone := range z.ZoneOf {
+		if zone >= maxZones {
+			return fmt.Errorf("serve: zone_of[%q] = %d exceeds the limit of %d zones", name, zone, maxZones)
+		}
+	}
+	return nil
 }
 
 // canon renders the spec canonically for memoization keys.
@@ -280,8 +301,6 @@ type StatzResponse struct {
 
 // BatchStats describes blocked multi-RHS evaluation traffic.
 type BatchStats struct {
-	// Enabled is false when the server runs with DisableBatch.
-	Enabled bool `json:"enabled"`
 	// Batches counts EvaluateBatch calls that reached the shared cache.
 	Batches int64 `json:"batches"`
 	// BatchPoints is the total operating points submitted in them; each

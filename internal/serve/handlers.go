@@ -28,6 +28,14 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
+	if err := req.Zoning.validate(); err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if len(req.CurrentsA) > maxZones {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("serve: %d currents exceed the limit of %d zones", len(req.CurrentsA), maxZones))
+		return
+	}
 	entry, sys, status, err := s.system(req.Chip)
 	if err != nil {
 		s.writeError(w, status, err)
@@ -125,6 +133,10 @@ func optimizeOptions(ctx context.Context, req OptimizeRequest) (core.Options, er
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var req OptimizeRequest
 	if !s.decode(w, r, &req) {
+		return
+	}
+	if err := req.Zoning.validate(); err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	entry, sys, status, err := s.system(req.Chip)

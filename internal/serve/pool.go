@@ -28,8 +28,6 @@ type pool struct {
 	entries map[uint64][]*poolEntry // hash → collision bucket
 	builds  atomic.Int64
 	max     int
-	// batchOff propagates Options.DisableBatch onto every built system.
-	batchOff bool
 }
 
 // poolEntry is one resident chip: the canonical identity, the
@@ -45,11 +43,11 @@ type poolEntry struct {
 	zonings map[string]*thermal.Zoning
 }
 
-func newPool(maxModels int, disableBatch bool) *pool {
+func newPool(maxModels int) *pool {
 	if maxModels <= 0 {
 		maxModels = 64
 	}
-	return &pool{entries: map[uint64][]*poolEntry{}, max: maxModels, batchOff: disableBatch}
+	return &pool{entries: map[uint64][]*poolEntry{}, max: maxModels}
 }
 
 // canonChip renders the spec's full identity: workload, backend, and the
@@ -148,9 +146,6 @@ func (e *poolEntry) system(p *pool, cache *evalcache.Cache) (*core.System, error
 		}
 		p.builds.Add(1)
 		e.sys = core.NewSystemShared(plant, cache)
-		if p.batchOff {
-			e.sys.SetBatching(false)
-		}
 	})
 	return e.sys, e.err
 }

@@ -588,6 +588,24 @@ func TestRequestBounds(t *testing.T) {
 			t.Errorf("%d thresholds: status %d, want 400: %s", maxParetoThresholds+1, rec.Code, rec.Body.String())
 		}
 	})
+	t.Run("zone index", func(t *testing.T) {
+		// A zone index or count past maxZones is refused before the
+		// model is built or anything is sized by it.
+		for _, req := range []any{
+			EvaluateRequest{OmegaRPM: 2000, CurrentsA: []float64{1}, Zoning: &ZoneSpec{ZoneOf: map[string]int{"L2": 1 << 30}}},
+			OptimizeRequest{Zoning: &ZoneSpec{ZoneOf: map[string]int{"L2": maxZones}}},
+			OptimizeRequest{Zoning: &ZoneSpec{Zones: maxZones + 1}},
+			EvaluateRequest{OmegaRPM: 2000, CurrentsA: make([]float64, maxZones+1), Zoning: &ZoneSpec{Zones: 2}},
+		} {
+			path := "/v1/evaluate"
+			if _, ok := req.(OptimizeRequest); ok {
+				path = "/v1/optimize"
+			}
+			if rec := post(t, h, path, req); rec.Code != http.StatusBadRequest {
+				t.Errorf("%s %+v: status %d, want 400: %s", path, req, rec.Code, rec.Body.String())
+			}
+		}
+	})
 	t.Run("body size", func(t *testing.T) {
 		// A syntactically valid body whose padding runs past the limit.
 		body := `{"omega_rpm":2000` + strings.Repeat(" ", maxBodyBytes) + `}`

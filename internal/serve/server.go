@@ -38,10 +38,6 @@ type Options struct {
 	// MaxGridPoints bounds sweep grids (n_omega × n_i). Zero selects
 	// 4096.
 	MaxGridPoints int
-	// DisableBatch turns off blocked multi-RHS evaluation on every pooled
-	// system: sweep rows and Pareto start priming fall back to per-point
-	// solves. The batched path is the default; this is the escape hatch.
-	DisableBatch bool
 	// ROMCacheDir, when set, persists Galerkin ROM bases there so a
 	// restarted server loads them instead of re-collecting snapshots.
 	ROMCacheDir string
@@ -111,7 +107,7 @@ func New(opts Options) *Server {
 	return &Server{
 		opts:  opts,
 		cache: evalcache.New(opts.CacheCapacity),
-		pool:  newPool(opts.MaxModels, opts.DisableBatch),
+		pool:  newPool(opts.MaxModels),
 		sem:   make(chan struct{}, opts.maxInflight()),
 		start: time.Now(),
 	}
@@ -254,7 +250,6 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		Pool:    s.poolStats(),
 		Cache:   s.cacheStats(),
 		Batch: BatchStats{
-			Enabled:     !s.opts.DisableBatch,
 			Batches:     cs.Batches,
 			BatchPoints: cs.BatchPoints,
 		},

@@ -24,9 +24,6 @@ func TestStatzBatchCounters(t *testing.T) {
 		t.Fatalf("statz status %d: %s", rec.Code, rec.Body.String())
 	}
 	statz := decodeBody[StatzResponse](t, rec)
-	if !statz.Batch.Enabled {
-		t.Error("batching reported disabled on a default server")
-	}
 	if statz.Batch.Batches < 4 || statz.Batch.BatchPoints < 16 {
 		t.Errorf("4×4 sweep counted %d batches / %d points, want ≥4 / ≥16", statz.Batch.Batches, statz.Batch.BatchPoints)
 	}
@@ -43,28 +40,6 @@ func TestStatzAdmissionExempt(t *testing.T) {
 	defer func() { <-s.sem }()
 	if rec := get(t, h, "/statz"); rec.Code != http.StatusOK {
 		t.Errorf("statz blocked by admission control: %d", rec.Code)
-	}
-}
-
-// TestDisableBatch pins the escape hatch: pooled systems answer per
-// point, no batch traffic is counted, and /statz says so.
-func TestDisableBatch(t *testing.T) {
-	s := New(Options{DisableBatch: true})
-	h := s.Handler()
-
-	rec := post(t, h, "/v1/sweep", SweepRequest{NOmega: 4, NI: 4})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("sweep status %d: %s", rec.Code, rec.Body.String())
-	}
-	statz := decodeBody[StatzResponse](t, get(t, h, "/statz"))
-	if statz.Batch.Enabled {
-		t.Error("statz reports batching enabled under DisableBatch")
-	}
-	if statz.Batch.Batches != 0 || statz.Batch.BatchPoints != 0 {
-		t.Errorf("DisableBatch server still counted %d batches / %d points", statz.Batch.Batches, statz.Batch.BatchPoints)
-	}
-	if statz.Cache.Misses == 0 {
-		t.Error("per-point sweep recorded no cache misses")
 	}
 }
 

@@ -351,36 +351,36 @@ func TestCGPrecondBatchValidation(t *testing.T) {
 	}
 }
 
-// TestICVersioned: hits skip the builder entirely, misses build outside
-// the lock, failures are cached, version 0 always rebuilds.
-func TestICVersioned(t *testing.T) {
-	c := NewFactorCache(4)
+// TestFactorCacheBuildOnMiss: a hit on a key skips the builder entirely, a miss
+// builds, and a failed build is cached under its key.
+func TestFactorCacheBuildOnMiss(t *testing.T) {
+	c := NewFactorCache[int](4)
 	a := laplacian2D(5, 1.2)
 	builds := 0
 	build := func() (*ICPreconditioner, error) {
 		builds++
 		return NewICPreconditioner(a)
 	}
-	ic1, ok := c.ICVersioned(7, build)
+	ic1, ok := c.IC(7, build)
 	if !ok || ic1 == nil || builds != 1 {
 		t.Fatalf("miss: ok=%v builds=%d", ok, builds)
 	}
-	ic2, ok := c.ICVersioned(7, build)
+	ic2, ok := c.IC(7, build)
 	if !ok || ic2 != ic1 || builds != 1 {
 		t.Fatalf("hit rebuilt: builds=%d same=%v", builds, ic2 == ic1)
 	}
-	if _, ok := c.ICVersioned(0, build); !ok || builds != 2 {
-		t.Fatalf("version 0 must build fresh: builds=%d", builds)
+	if _, ok := c.IC(0, build); !ok || builds != 2 {
+		t.Fatalf("a new key must build: builds=%d", builds)
 	}
 	fails := 0
 	failing := func() (*ICPreconditioner, error) {
 		fails++
 		return nil, errors.New("not SPD")
 	}
-	if _, ok := c.ICVersioned(9, failing); ok {
+	if _, ok := c.IC(9, failing); ok {
 		t.Fatal("failure reported ok")
 	}
-	if _, ok := c.ICVersioned(9, failing); ok || fails != 1 {
+	if _, ok := c.IC(9, failing); ok || fails != 1 {
 		t.Fatalf("failure not cached: fails=%d", fails)
 	}
 }

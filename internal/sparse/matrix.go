@@ -144,10 +144,6 @@ type CSR struct {
 	rowPtr []int32
 	colIdx []int32
 	values []float64
-
-	// version is an opaque value-version used to key factorization caches
-	// (see FactorCache); 0 means unversioned.
-	version uint64
 }
 
 // N returns the matrix dimension.
@@ -228,20 +224,9 @@ func (m *CSR) IsSymmetric(tol float64) bool {
 	return true
 }
 
-// SetVersion stamps an opaque value-version on the matrix. Callers that
-// rewrite a shared-pattern value array between solves assign a version
-// that identifies the value content (e.g. derived from the operating
-// point), letting FactorCache reuse factorizations across matrices with
-// identical values. Version 0 means unversioned: never cached.
-func (m *CSR) SetVersion(v uint64) { m.version = v }
-
-// Version returns the stamped value-version (0 when unversioned).
-func (m *CSR) Version() uint64 { return m.version }
-
 // WithValues returns a matrix sharing the receiver's sparsity pattern
 // with the given value array, which the caller owns and may rewrite
-// between solves. len(values) must equal NNZ(). The version stamp is not
-// inherited; the caller re-stamps after each refresh.
+// between solves. len(values) must equal NNZ().
 func (m *CSR) WithValues(values []float64) (*CSR, error) {
 	if len(values) != len(m.values) {
 		return nil, fmt.Errorf("sparse: value array length %d does not match nnz %d", len(values), len(m.values))

@@ -166,32 +166,25 @@ func TestWorkspaceReuse(t *testing.T) {
 	}
 }
 
-// TestFactorCache: version hits must reuse the factorization object,
-// version 0 must bypass the cache, failures must be cached, and the
-// bound must clear on overflow.
+// TestFactorCache: key hits must reuse the factorization object,
+// distinct keys must factorize separately, failures must be cached, and
+// the bound must clear on overflow.
 func TestFactorCache(t *testing.T) {
-	c := NewFactorCache(4)
+	c := NewFactorCache[int](4)
 	a := laplacian1D(20, 1)
-	a.SetVersion(7)
-	ic1, ok := c.IC(a)
+	factor := func(m *CSR) func() (*ICPreconditioner, error) {
+		return func() (*ICPreconditioner, error) { return NewICPreconditioner(m) }
+	}
+	ic1, ok := c.IC(7, factor(a))
 	if !ok || ic1 == nil {
 		t.Fatal("SPD factorization failed")
 	}
-	ic2, ok := c.IC(a)
+	ic2, ok := c.IC(7, factor(a))
 	if !ok || ic2 != ic1 {
-		t.Error("version hit did not reuse the cached factorization")
+		t.Error("key hit did not reuse the cached factorization")
 	}
 	if c.Len() != 1 {
 		t.Errorf("cache holds %d entries, want 1", c.Len())
-	}
-
-	a.SetVersion(0)
-	ic3, ok := c.IC(a)
-	if !ok || ic3 == ic1 {
-		t.Error("version 0 must factorize fresh")
-	}
-	if c.Len() != 1 {
-		t.Errorf("version 0 was cached: %d entries", c.Len())
 	}
 
 	// Indefinite matrix: the failure itself is cached.
@@ -202,11 +195,10 @@ func TestFactorCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad.SetVersion(9)
-	if _, ok := c.IC(bad); ok {
+	if _, ok := c.IC(9, factor(bad)); ok {
 		t.Error("indefinite matrix factorized")
 	}
-	if _, ok := c.IC(bad); ok {
+	if _, ok := c.IC(9, factor(bad)); ok {
 		t.Error("cached failure reported success")
 	}
 	if c.Len() != 2 {
@@ -214,9 +206,8 @@ func TestFactorCache(t *testing.T) {
 	}
 
 	// Overflow clears.
-	for v := uint64(10); v < 16; v++ {
-		a.SetVersion(v)
-		c.IC(a)
+	for k := 10; k < 16; k++ {
+		c.IC(k, factor(a))
 	}
 	if c.Len() > 4 {
 		t.Errorf("cache exceeded its bound: %d entries", c.Len())
@@ -224,14 +215,13 @@ func TestFactorCache(t *testing.T) {
 }
 
 // TestFactorCacheConcurrent hammers one cache from many goroutines across
-// a few versions; run under -race this pins the locking discipline, and
+// a few keys; run under -race this pins the locking discipline, and
 // the ApplyScratch path keeps shared factors safe inside CGPrecond.
 func TestFactorCacheConcurrent(t *testing.T) {
-	c := NewFactorCache(0)
+	c := NewFactorCache[int](0)
 	mats := make([]*CSR, 4)
 	for i := range mats {
 		mats[i] = laplacian1D(30, float64(i+1))
-		mats[i].SetVersion(uint64(i + 1))
 	}
 	rhs := make([]float64, 30)
 	for i := range rhs {
@@ -245,8 +235,9 @@ func TestFactorCacheConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			ws := &Workspace{}
 			for k := 0; k < 50; k++ {
-				m := mats[rng.Intn(len(mats))]
-				ic, ok := c.IC(m)
+				key := rng.Intn(len(mats))
+				m := mats[key]
+				ic, ok := c.IC(key, func() (*ICPreconditioner, error) { return NewICPreconditioner(m) })
 				if !ok {
 					t.Error("factorization failed")
 					return

@@ -48,7 +48,7 @@ func TestAnalyticSeriesStack(t *testing.T) {
 	}
 
 	omega := units.RPMToRadPerSec(3000)
-	res, err := m.Evaluate(omega, 0)
+	res, err := solveOne(m, nil, scalarPt(omega, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestSuperpositionWithoutLeakage(t *testing.T) {
 		if err := b.SetDynamicPower(m); err != nil {
 			t.Fatal(err)
 		}
-		res, err := b.Evaluate(omega, 0)
+		res, err := solveOne(b, nil, scalarPt(omega, 0), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,15 +152,15 @@ func TestPeltierFirstOrderResponse(t *testing.T) {
 	cfg := testConfig()
 	m := benchModel(t, cfg, "Quicksort")
 	omega := units.RPMToRadPerSec(3000)
-	r0, err := m.Evaluate(omega, 0)
+	r0, err := solveOne(m, nil, scalarPt(omega, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := m.Evaluate(omega, 0.05)
+	r1, err := solveOne(m, nil, scalarPt(omega, 0.05), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := m.Evaluate(omega, 0.10)
+	r2, err := solveOne(m, nil, scalarPt(omega, 0.10), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestReciprocity(t *testing.T) {
 	// overlap-weighted injection profile, so the readout must use the same
 	// overlap weights as the injection.
 	riseAt := func(unit string) float64 {
-		res, err := model.Evaluate(omega, 0)
+		res, err := solveOne(model, nil, scalarPt(omega, 0), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,8 +2,6 @@ package thermal
 
 import (
 	"context"
-	"fmt"
-	"math"
 
 	"oftec/internal/sparse"
 )
@@ -11,7 +9,7 @@ import (
 // This file is the batched steady-state evaluator. Bulk workloads —
 // surface sweeps, Pareto probes, ROM snapshot collection — evaluate many
 // operating points whose systems share one ω-slice of the conductance
-// matrix and differ only in the TEC diagonal/RHS terms. EvaluateBatch
+// matrix and differ only in the TEC diagonal/RHS terms. solveBatch
 // assembles the canonical slice system once, expresses each point as a
 // set of per-column diagonal overrides plus an RHS patch, and hands
 // width-8 chunks to sparse.CGPrecondBatch under the shared slice
@@ -23,7 +21,7 @@ import (
 // a batched result is reflect.DeepEqual to the per-point result from the
 // same seed (the equivalence suite pins this). A column the lockstep
 // solve cannot finish (breakdown, iteration budget) falls back to the
-// scalar path, which reproduces the identical failure — the same
+// per-point path, which reproduces the identical failure — the same
 // ErrIndefinite certificate — exactly as a per-point call would.
 
 // batchWidth is the lockstep column count: wide enough to amortize the
@@ -31,183 +29,50 @@ import (
 // narrow enough that the interleaved working set stays in cache.
 const batchWidth = 8
 
-// BatchPoint is one scalar operating point of a batched evaluation.
-type BatchPoint struct {
-	Omega float64 // fan speed, rad/s
-	ITEC  float64 // uniform TEC driving current, A
-}
-
-// ZonedPoint is one zoned operating point of a batched evaluation: one
-// driving current per control zone (see Zoning).
-type ZonedPoint struct {
-	Omega    float64
-	Currents []float64
-}
-
-// EvaluateBatch computes the steady state at every operating point,
-// solving memo misses in lockstep chunks that share one assembly and one
-// IC(0) factorization per ω-slice. Results are positionally aligned with
-// pts and identical — reflect.DeepEqual, including SolveStats — to what
-// per-point EvaluateWarm calls would return: with warm == nil the first
-// point of each ω-group seeds from ambient and the rest seed from its
-// solution (the sweep warm-start carry); with warm set every point seeds
-// from it. ctx is checked between chunks; cancellation returns ctx.Err()
-// with no results.
-func (m *Model) EvaluateBatch(ctx context.Context, pts []BatchPoint, warm []float64) ([]*Result, error) {
+// solveBatch is Solve's batched engine for validated points (with a
+// one-zone zoning already reduced to nil): per ω-group, the first point
+// solves per-point and seeds the rest unless warm seeds them all, and the
+// rest solve in lockstep chunks. The results are appended to dst.
+//
+//oftec:allocok batched engine: one results slice and per-group workspaces per call, amortized across the batch
+func (m *Model) solveBatch(ctx context.Context, z *Zoning, pts []Point, warm []float64, dst []*Result) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	for _, p := range pts {
-		if err := m.checkOperatingPoint(p.Omega, p.ITEC); err != nil {
-			return nil, err
-		}
-	}
-	if err := m.checkWarm(warm); err != nil {
-		return nil, err
-	}
-	results := make([]*Result, len(pts))
-	if len(pts) == 0 {
-		return results, nil
-	}
-
-	for _, g := range groupByOmega(len(pts), func(i int) float64 { return pts[i].Omega }) {
+	n := len(dst)
+	dst = append(dst, make([]*Result, len(pts))...)
+	results := dst[n:]
+	for _, g := range groupByOmega(pts) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		omega := pts[g[0]].Omega
-
 		// Seed: the sweep warm-start carry. The first point of the group
 		// solves per-point from ambient (or answers from the memo) and its
 		// field seeds the siblings; an explicit warm seeds everything.
 		seed := warm
-		rest := g
 		if warm == nil {
-			res, err := m.EvaluateWarm(omega, pts[g[0]].ITEC, nil)
-			if err != nil {
-				return nil, err
-			}
+			res := m.solvePoint(z, pts[g[0]], nil)
 			results[g[0]] = res
 			if !res.Runaway {
 				seed = res.T
 			}
-			rest = g[1:]
+			g = g[1:]
 		}
-
-		if err := m.evaluateGroup(ctx, omega, rest,
-			func(i, cell int) float64 { return pts[i].ITEC },
-			seed,
-			func(i int) (*Result, bool) {
-				ver := m.versionFor(verKey{omega: omega, itec: pts[i].ITEC, linear: true})
-				return m.loadResult(ver)
-			},
-			func(i int, t []float64, stats sparse.Stats) *Result {
-				itec := pts[i].ITEC
-				res := m.steadyState(omega, itec, t, stats, nil)
-				m.storeResult(m.versionFor(verKey{omega: omega, itec: itec, linear: true}), res)
-				return res
-			},
-			func(i int, seed []float64) (*Result, error) {
-				return m.EvaluateWarm(omega, pts[i].ITEC, seed)
-			},
-			results,
-		); err != nil {
+		if err := m.solveGroup(ctx, z, pts, g, seed, results); err != nil {
 			return nil, err
 		}
 	}
-	return results, nil
-}
-
-// EvaluateZonedBatch is EvaluateBatch for zoned operating points (one
-// current per control zone). Zoned points are never memoized (matching
-// EvaluateZonedWarm), so every point solves; a single-zone zoning
-// delegates to the scalar batch exactly as EvaluateZonedWarm delegates
-// to EvaluateWarm.
-func (m *Model) EvaluateZonedBatch(ctx context.Context, z *Zoning, pts []ZonedPoint, warm []float64) ([]*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if z == nil {
-		return nil, fmt.Errorf("thermal: nil zoning")
-	}
-	maxCur := make([]float64, len(pts))
-	for pi, p := range pts {
-		if len(p.Currents) != z.numZones {
-			return nil, fmt.Errorf("thermal: point %d has %d currents for %d zones", pi, len(p.Currents), z.numZones)
-		}
-		for zone, c := range p.Currents {
-			if c < 0 || math.IsNaN(c) {
-				return nil, fmt.Errorf("thermal: point %d zone %d current %g must be non-negative", pi, zone, c)
-			}
-			if c > maxCur[pi] {
-				maxCur[pi] = c
-			}
-		}
-		if err := m.checkOperatingPoint(p.Omega, maxCur[pi]); err != nil {
-			return nil, err
-		}
-	}
-	if err := m.checkWarm(warm); err != nil {
-		return nil, err
-	}
-	if z.numZones == 1 {
-		sp := make([]BatchPoint, len(pts))
-		for i, p := range pts {
-			sp[i] = BatchPoint{Omega: p.Omega, ITEC: p.Currents[0]}
-		}
-		return m.EvaluateBatch(ctx, sp, warm)
-	}
-	results := make([]*Result, len(pts))
-	if len(pts) == 0 {
-		return results, nil
-	}
-
-	for _, g := range groupByOmega(len(pts), func(i int) float64 { return pts[i].Omega }) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		omega := pts[g[0]].Omega
-
-		seed := warm
-		rest := g
-		if warm == nil {
-			res, err := m.EvaluateZonedWarm(omega, z, pts[g[0]].Currents, nil)
-			if err != nil {
-				return nil, err
-			}
-			results[g[0]] = res
-			if !res.Runaway {
-				seed = res.T
-			}
-			rest = g[1:]
-		}
-
-		if err := m.evaluateGroup(ctx, omega, rest,
-			func(i, cell int) float64 { return pts[i].Currents[z.zoneOf[cell]] },
-			seed,
-			func(i int) (*Result, bool) { return nil, false }, // zoned points are not memoized
-			func(i int, t []float64, stats sparse.Stats) *Result {
-				currents := pts[i].Currents
-				return m.zonedSteadyState(omega, maxCur[i], t, stats, nil, func(cell int) float64 { return currents[z.zoneOf[cell]] })
-			},
-			func(i int, seed []float64) (*Result, error) {
-				return m.EvaluateZonedWarm(omega, z, pts[i].Currents, seed)
-			},
-			results,
-		); err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return dst, nil
 }
 
 // groupByOmega partitions point indices by ω in first-appearance order,
 // keeping submission order within each group — the order the per-point
 // reference path would visit them in a row-major sweep.
-func groupByOmega(n int, omegaOf func(int) float64) [][]int {
+func groupByOmega(pts []Point) [][]int {
 	var order []float64
 	groups := make(map[float64][]int)
-	for i := 0; i < n; i++ {
-		w := omegaOf(i)
+	for i, p := range pts {
+		w := p.Omega
 		if _, ok := groups[w]; !ok {
 			order = append(order, w)
 		}
@@ -220,23 +85,14 @@ func groupByOmega(n int, omegaOf func(int) float64) [][]int {
 	return out
 }
 
-// evaluateGroup solves the memo misses of one ω-group in lockstep
-// chunks. curAt supplies the driving current of point pi at a TEC cell
-// (uniform for scalar points, zone-resolved for zoned ones); memo
-// answers points without solving; finish replicates the per-point result
-// tail for a converged lockstep column; fallback re-solves a column the
-// lockstep path could not finish.
-func (m *Model) evaluateGroup(
-	ctx context.Context,
-	omega float64,
-	idxs []int,
-	curAt func(pi, cell int) float64,
-	seed []float64,
-	memo func(int) (*Result, bool),
-	finish func(int, []float64, sparse.Stats) *Result,
-	fallback func(int, []float64) (*Result, error),
-	results []*Result,
-) error {
+// solveGroup solves the points idxs of one ω-group in lockstep chunks
+// from seed (nil: ambient). Memoized points answer without solving; a
+// column the lockstep solve cannot finish re-solves per-point.
+func (m *Model) solveGroup(ctx context.Context, z *Zoning, pts []Point, idxs []int, seed []float64, results []*Result) error {
+	if len(idxs) == 0 {
+		return nil
+	}
+	omega := pts[idxs[0]].Omega
 	ic, icOK := m.slicePrecond(omega)
 
 	// One canonical assembly for the whole group: the I_TEC = 0 system.
@@ -244,8 +100,7 @@ func (m *Model) evaluateGroup(
 	// override and RHS buffers below.
 	sc := m.getScratch()
 	defer m.putScratch(sc)
-	sc.itec = 0
-	m.assembleInto(sc, omega, sc.uniform, true, nil)
+	m.assembleInto(sc, omega, drive{}, true, nil)
 
 	ws := sparse.GetBatchWorkspace()
 	defer sparse.PutBatchWorkspace(ws)
@@ -280,9 +135,11 @@ func (m *Model) evaluateGroup(
 		}
 		chunk = chunk[:0]
 		for _, pi := range idxs[start:min(start+batchWidth, len(idxs))] {
-			if res, ok := memo(pi); ok {
-				results[pi] = res
-				continue
+			if key, memo := memoKey(z, pts[pi]); memo {
+				if res, ok := m.loadResult(key); ok {
+					results[pi] = res
+					continue
+				}
 			}
 			chunk = append(chunk, pi)
 		}
@@ -294,11 +151,7 @@ func (m *Model) evaluateGroup(
 			// solve is unavailable, so every point takes the per-point
 			// SolveAuto — the same one it would have taken solo.
 			for _, pi := range chunk {
-				res, err := fallback(pi, seed)
-				if err != nil {
-					return err
-				}
-				results[pi] = res
+				results[pi] = m.solvePoint(z, pts[pi], seed)
 			}
 			continue
 		}
@@ -328,7 +181,7 @@ func (m *Model) evaluateGroup(
 			cold.Vals = cold.Vals[:wp]
 			hot.Vals = hot.Vals[:wp]
 			for j, pi := range chunk {
-				iTEC := curAt(pi, cell)
+				iTEC := driveOf(z, pts[pi]).at(cell)
 				cv, hv := cbase, hbase
 				if iTEC != 0 {
 					cv = cbase + alpha*iTEC
@@ -357,7 +210,7 @@ func (m *Model) evaluateGroup(
 			mid := m.node(planeTECMid, cell)
 			row := bw[mid*wp : mid*wp+wp]
 			for j, pi := range chunk {
-				iTEC := curAt(pi, cell)
+				iTEC := driveOf(z, pts[pi]).at(cell)
 				if iTEC != 0 {
 					row[j] += m.tecR[cell] * iTEC * iTEC
 				}
@@ -390,16 +243,16 @@ func (m *Model) evaluateGroup(
 			return err
 		}
 		for j, pi := range chunk {
-			if ok[j] {
-				results[pi] = finish(pi, sols[j], stats[j])
+			if !ok[j] {
+				// The lockstep solve failed for this column: re-solve it
+				// per-point from the same seed, which reproduces the same
+				// failure exactly as a solo call would.
+				results[pi] = m.solvePoint(z, pts[pi], seed)
 				continue
 			}
-			// The lockstep solve failed for this column: re-solve it
-			// per-point from the same seed, which reproduces the same
-			// failure exactly as a solo call would.
-			res, err := fallback(pi, seed)
-			if err != nil {
-				return err
+			res := m.steadyState(omega, driveOf(z, pts[pi]), sols[j], stats[j], nil)
+			if key, memo := memoKey(z, pts[pi]); memo {
+				m.storeResult(key, res)
 			}
 			results[pi] = res
 		}

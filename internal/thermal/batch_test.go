@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// This file is the batched-evaluation equivalence suite: EvaluateBatch
-// and EvaluateZonedBatch are pure performance transforms, so their
-// results must be reflect.DeepEqual — bit-identical fields, Stats
+// This file is the batched-evaluation equivalence suite: Solve on more
+// than one point is a pure performance transform, so its results must
+// be reflect.DeepEqual — bit-identical fields, Stats
 // included — to the per-point reference protocol: within each ω-group
 // the first point evaluates from a nil warm start and its solution seeds
 // the remaining points (the sweep warm-start carry), or an explicit warm
@@ -18,19 +18,19 @@ import (
 
 // batchGrid is a small sweep covering memo-cold points, repeated points,
 // and the fanless high-current runaway corner.
-func batchGrid(cfg Config) []BatchPoint {
-	var pts []BatchPoint
+func batchGrid(cfg Config) []Point {
+	var pts []Point
 	for _, omega := range []float64{120, 250, 0} {
 		for _, itec := range []float64{0, 0.8, cfg.TEC.MaxCurrent} {
-			pts = append(pts, BatchPoint{Omega: omega, ITEC: itec})
+			pts = append(pts, scalarPt(omega, itec))
 		}
 	}
 	return pts
 }
 
-// perPointReference replays pts through the scalar per-point protocol on
-// the given model.
-func perPointReference(t *testing.T, m *Model, pts []BatchPoint, warm []float64) []*Result {
+// perPointReference replays pts through the per-point protocol (one
+// Solve call per point) on the given model and zoning.
+func perPointReference(t *testing.T, m *Model, z *Zoning, pts []Point, warm []float64) []*Result {
 	t.Helper()
 	out := make([]*Result, len(pts))
 	seeds := map[float64][]float64{}
@@ -40,7 +40,7 @@ func perPointReference(t *testing.T, m *Model, pts []BatchPoint, warm []float64)
 		if warm == nil {
 			if !seen[p.Omega] {
 				seen[p.Omega] = true
-				r0, err := m.EvaluateWarm(p.Omega, p.ITEC, nil)
+				r0, err := solveOne(m, z, p, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -52,7 +52,7 @@ func perPointReference(t *testing.T, m *Model, pts []BatchPoint, warm []float64)
 			}
 			seed = seeds[p.Omega]
 		}
-		res, err := m.EvaluateWarm(p.Omega, p.ITEC, seed)
+		res, err := solveOne(m, z, p, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,12 +79,12 @@ func TestEvaluateBatchMatchesPerPoint(t *testing.T) {
 	pts := batchGrid(cfg)
 
 	batched := benchModel(t, cfg, "Basicmath")
-	got, err := batched.EvaluateBatch(context.Background(), pts, nil)
+	got, err := batched.Solve(context.Background(), nil, pts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reference := benchModel(t, cfg, "Basicmath")
-	want := perPointReference(t, reference, pts, nil)
+	want := perPointReference(t, reference, nil, pts, nil)
 	assertResultsDeepEqual(t, "cold", got, want)
 
 	// With an explicit warm start every point seeds from it.
@@ -93,12 +93,12 @@ func TestEvaluateBatchMatchesPerPoint(t *testing.T) {
 		t.Fatal("first grid point unexpectedly ran away")
 	}
 	b2 := benchModel(t, cfg, "Basicmath")
-	got2, err := b2.EvaluateBatch(context.Background(), pts, warmRes.T)
+	got2, err := b2.Solve(context.Background(), nil, pts, warmRes.T, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r2 := benchModel(t, cfg, "Basicmath")
-	want2 := perPointReference(t, r2, pts, warmRes.T)
+	want2 := perPointReference(t, r2, nil, pts, warmRes.T)
 	assertResultsDeepEqual(t, "warm", got2, want2)
 }
 
@@ -108,12 +108,12 @@ func TestEvaluateBatchMatchesPerPoint(t *testing.T) {
 func TestEvaluateBatchSharesMemo(t *testing.T) {
 	cfg := testConfig()
 	m := benchModel(t, cfg, "Basicmath")
-	pre, err := m.Evaluate(250, 0.8)
+	pre, err := solveOne(m, nil, scalarPt(250, 0.8), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := []BatchPoint{{250, 0}, {250, 0.8}, {250, 1.4}}
-	got, err := m.EvaluateBatch(context.Background(), pts, nil)
+	pts := []Point{scalarPt(250, 0), scalarPt(250, 0.8), scalarPt(250, 1.4)}
+	got, err := m.Solve(context.Background(), nil, pts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestEvaluateBatchSharesMemo(t *testing.T) {
 		t.Error("memoized point re-solved in batch (pointer differs)")
 	}
 	for i, p := range pts {
-		solo, err := m.Evaluate(p.Omega, p.ITEC)
+		solo, err := solveOne(m, nil, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,41 +149,21 @@ func TestEvaluateZonedBatchMatchesPerPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var pts []ZonedPoint
+	var pts []Point
 	for _, omega := range []float64{150, 250} {
 		for _, cur := range [][]float64{{0, 0}, {0.6, 1.2}, {1.4, 0.2}, {0.6, 1.2}} {
-			pts = append(pts, ZonedPoint{Omega: omega, Currents: cur})
+			pts = append(pts, Point{Omega: omega, Currents: cur})
 		}
 	}
-	got, err := batched.EvaluateZonedBatch(context.Background(), zb, pts, nil)
+	got, err := batched.Solve(context.Background(), zb, pts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	want := make([]*Result, len(pts))
-	seeds := map[float64][]float64{}
-	seen := map[float64]bool{}
-	for i, p := range pts {
-		var seed []float64
-		if seen[p.Omega] {
-			seed = seeds[p.Omega]
-		}
-		res, err := reference.EvaluateZonedWarm(p.Omega, zr, p.Currents, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res
-		if !seen[p.Omega] {
-			seen[p.Omega] = true
-			if !res.Runaway {
-				seeds[p.Omega] = res.T
-			}
-		}
-	}
-	assertResultsDeepEqual(t, "zoned", got, want)
+	assertResultsDeepEqual(t, "zoned", got, perPointReference(t, reference, zr, pts, nil))
 
-	// k=1 delegates to the scalar batch, like EvaluateZonedWarm delegates
-	// to EvaluateWarm.
+	// A one-zone zoning is the series deployment: it shares the scalar
+	// memo entry.
 	one := map[string]int{}
 	for _, u := range cfg.Floorplan.Units() {
 		one[u.Name] = 0
@@ -192,17 +172,35 @@ func TestEvaluateZonedBatchMatchesPerPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single := []ZonedPoint{{Omega: 200, Currents: []float64{0.9}}}
-	gz, err := batched.EvaluateZonedBatch(context.Background(), z1, single, nil)
+	single := []Point{scalarPt(200, 0.9), scalarPt(200, 1.1)}
+	gz, err := batched.Solve(context.Background(), z1, single, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs, err := batched.EvaluateWarm(200, 0.9, nil)
-	if err != nil {
-		t.Fatal(err)
+	for i, p := range single {
+		gs, err := solveOne(batched, nil, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gz[i] != gs {
+			t.Errorf("point %d: k=1 zoned batch did not share the scalar memo entry", i)
+		}
 	}
-	if gz[0] != gs {
-		t.Error("k=1 zoned batch did not share the scalar memo entry")
+}
+
+// TestZonedWarmLengthRejected: a zoned point validates its warm start
+// exactly like a scalar point (TestEvaluateBatchValidation), on the
+// per-point and the batched path.
+func TestZonedWarmLengthRejected(t *testing.T) {
+	cfg := testConfig()
+	m := benchModel(t, cfg, "Basicmath")
+	z := testZoning(t, m, 2)
+	short := make([]float64, m.NumNodes()-1)
+	p := Point{Omega: 200, Currents: []float64{0.5, 1}}
+	for _, pts := range [][]Point{{p}, {p, p}} {
+		if _, err := m.Solve(context.Background(), z, pts, short, nil); err == nil {
+			t.Errorf("%d zoned points: warm start of %d nodes accepted, model has %d", len(pts), len(short), m.NumNodes())
+		}
 	}
 }
 
@@ -212,8 +210,8 @@ func TestEvaluateZonedBatchMatchesPerPoint(t *testing.T) {
 func TestEvaluateBatchSpansDynamicPowerFlush(t *testing.T) {
 	cfg := testConfig()
 	m := benchModel(t, cfg, "Basicmath")
-	pts := []BatchPoint{{200, 0}, {200, 0.7}, {200, 1.3}, {120, 0.7}}
-	before, err := m.EvaluateBatch(context.Background(), pts, nil)
+	pts := []Point{scalarPt(200, 0), scalarPt(200, 0.7), scalarPt(200, 1.3), scalarPt(120, 0.7)}
+	before, err := m.Solve(context.Background(), nil, pts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +220,7 @@ func TestEvaluateBatchSpansDynamicPowerFlush(t *testing.T) {
 	if err := m.SetDynamicPower(newMap); err != nil {
 		t.Fatal(err)
 	}
-	after, err := m.EvaluateBatch(context.Background(), pts, nil)
+	after, err := m.Solve(context.Background(), nil, pts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +234,7 @@ func TestEvaluateBatchSpansDynamicPowerFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := perPointReference(t, ref, pts, nil)
+	want := perPointReference(t, ref, nil, pts, nil)
 	assertResultsDeepEqual(t, "post-flush", after, want)
 }
 
@@ -265,17 +263,17 @@ func TestEvaluateBatchCancelledMidBatch(t *testing.T) {
 	// Already-cancelled context: nothing runs.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.EvaluateBatch(ctx, batchGrid(cfg), nil); !errors.Is(err, context.Canceled) {
+	if _, err := m.Solve(ctx, nil, batchGrid(cfg), nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled context: err = %v, want context.Canceled", err)
 	}
 
 	// Cancelled mid-batch: the first ω-group proceeds, then the run stops
 	// with no results; the model stays healthy for the next call.
 	mid := &countdownCtx{remaining: 2}
-	if _, err := m.EvaluateBatch(mid, batchGrid(cfg), nil); !errors.Is(err, context.Canceled) {
+	if _, err := m.Solve(mid, nil, batchGrid(cfg), nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-batch cancel: err = %v, want context.Canceled", err)
 	}
-	res, err := m.EvaluateBatch(context.Background(), batchGrid(cfg), nil)
+	res, err := m.Solve(context.Background(), nil, batchGrid(cfg), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,13 +289,16 @@ func TestEvaluateBatchCancelledMidBatch(t *testing.T) {
 func TestEvaluateBatchValidation(t *testing.T) {
 	cfg := testConfig()
 	m := benchModel(t, cfg, "Basicmath")
-	if _, err := m.EvaluateBatch(context.Background(), []BatchPoint{{-1, 0}}, nil); err == nil {
+	if _, err := m.Solve(context.Background(), nil, []Point{scalarPt(-1, 0)}, nil, nil); err == nil {
 		t.Error("negative ω accepted")
 	}
-	if _, err := m.EvaluateBatch(context.Background(), []BatchPoint{{100, 1}}, make([]float64, 3)); err == nil {
+	if _, err := m.Solve(context.Background(), nil, []Point{scalarPt(100, 1)}, make([]float64, 3), nil); err == nil {
 		t.Error("short warm accepted")
 	}
-	res, err := m.EvaluateBatch(context.Background(), nil, nil)
+	if _, err := m.Solve(context.Background(), nil, []Point{{Omega: 100, Currents: []float64{1, 1}}}, nil, nil); err == nil {
+		t.Error("two currents accepted without a zoning")
+	}
+	res, err := m.Solve(context.Background(), nil, nil, nil, nil)
 	if err != nil || len(res) != 0 {
 		t.Errorf("empty batch: res=%v err=%v", res, err)
 	}
@@ -309,13 +310,10 @@ func TestEvaluateBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.EvaluateZonedBatch(context.Background(), nil, nil, nil); err == nil {
-		t.Error("nil zoning accepted")
-	}
-	if _, err := m.EvaluateZonedBatch(context.Background(), z, []ZonedPoint{{100, []float64{1}}}, nil); err == nil {
+	if _, err := m.Solve(context.Background(), z, []Point{scalarPt(100, 1)}, nil, nil); err == nil {
 		t.Error("current-count mismatch accepted")
 	}
-	if _, err := m.EvaluateZonedBatch(context.Background(), z, []ZonedPoint{{100, []float64{1, -2}}}, nil); err == nil {
+	if _, err := m.Solve(context.Background(), z, []Point{{Omega: 100, Currents: []float64{1, -2}}}, nil, nil); err == nil {
 		t.Error("negative zone current accepted")
 	}
 }
@@ -327,11 +325,11 @@ func TestEvaluateBatchValidation(t *testing.T) {
 func TestRunawayCertificateOmegaZeroRow(t *testing.T) {
 	cfg := DefaultConfig()
 	const nI = 40
-	pts := make([]BatchPoint, nI)
+	pts := make([]Point, nI)
 	for j := range pts {
-		pts[j] = BatchPoint{Omega: 0, ITEC: cfg.TEC.MaxCurrent * float64(j) / (nI - 1)}
+		pts[j] = scalarPt(0, cfg.TEC.MaxCurrent*float64(j)/(nI-1))
 	}
-	batched, err := benchModel(t, cfg, "Basicmath").EvaluateBatch(context.Background(), pts, nil)
+	batched, err := benchModel(t, cfg, "Basicmath").Solve(context.Background(), nil, pts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,20 +337,20 @@ func TestRunawayCertificateOmegaZeroRow(t *testing.T) {
 	var warm []float64
 	causes := map[RunawayCause]int{}
 	for j, p := range pts {
-		res, err := solo.EvaluateWarm(p.Omega, p.ITEC, warm)
+		res, err := solveOne(solo, nil, p, warm)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Runaway {
 			warm = res.T
-			t.Errorf("I=%.3f A: TEC-only point did not run away (𝒯=%.1f K)", p.ITEC, res.MaxChipTemp)
+			t.Errorf("I=%.3f A: TEC-only point did not run away (𝒯=%.1f K)", p.Currents[0], res.MaxChipTemp)
 		}
 		causes[res.RunawayCause]++
 		if (res.RunawayCause == RunawaySolve) != res.SolveStats.Indefinite {
-			t.Errorf("I=%.3f A: cause %v with SolveStats %+v; a failed solve must carry the certificate", p.ITEC, res.RunawayCause, res.SolveStats)
+			t.Errorf("I=%.3f A: cause %v with SolveStats %+v; a failed solve must carry the certificate", p.Currents[0], res.RunawayCause, res.SolveStats)
 		}
 		if !reflect.DeepEqual(res, batched[j]) {
-			t.Errorf("I=%.3f A: batched result differs from per-point:\n got %+v\nwant %+v", p.ITEC, batched[j], res)
+			t.Errorf("I=%.3f A: batched result differs from per-point:\n got %+v\nwant %+v", p.Currents[0], batched[j], res)
 		}
 	}
 	t.Logf("ω=0 row runaway causes: %v", causes)

@@ -32,11 +32,11 @@ func BenchmarkAssemble(b *testing.B) {
 	m := benchmarkModel(b)
 	sc := m.getScratch()
 	defer m.putScratch(sc)
-	sc.itec = 1.5
+	d := drive{currents: []float64{1.5}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.assembleInto(sc, 250, sc.uniform, true, nil)
+		m.assembleInto(sc, 250, d, true, nil)
 		if sc.mat.N() != m.n {
 			b.Fatal("bad dimension")
 		}
@@ -50,7 +50,7 @@ func BenchmarkAssembleReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mat, _, err := m.assembleReference(250, m.uniformCurrent(1.5), true, nil)
+		mat, _, err := m.assembleReference(250, drive{currents: []float64{1.5}}, true, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

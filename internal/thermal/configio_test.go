@@ -59,11 +59,11 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	omega := units.RPMToRadPerSec(2000)
-	r1, err := m1.Evaluate(omega, 1)
+	r1, err := solveOne(m1, nil, scalarPt(omega, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := m2.Evaluate(omega, 1)
+	r2, err := solveOne(m2, nil, scalarPt(omega, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,11 +30,11 @@ func TestAirSpecBitIdenticalToNilCoolant(t *testing.T) {
 	for _, pt := range []struct{ omega, itec float64 }{
 		{0, 0}, {120, 0.4}, {250, 1.0}, {524, 5},
 	} {
-		ra, err := nilModel.Evaluate(pt.omega, pt.itec)
+		ra, err := solveOne(nilModel, nil, scalarPt(pt.omega, pt.itec), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := airModel.Evaluate(pt.omega, pt.itec)
+		rb, err := solveOne(airModel, nil, scalarPt(pt.omega, pt.itec), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,11 +44,11 @@ func TestAirSpecBitIdenticalToNilCoolant(t *testing.T) {
 		if ra.Runaway {
 			continue
 		}
-		ga, err := nilModel.EvaluateGrad(pt.omega, pt.itec)
+		ga, err := nilModel.SolveGrad(nil, scalarPt(pt.omega, pt.itec))
 		if err != nil {
 			t.Fatal(err)
 		}
-		gb, err := airModel.EvaluateGrad(pt.omega, pt.itec)
+		gb, err := airModel.SolveGrad(nil, scalarPt(pt.omega, pt.itec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestLiquidEvaluatePhysics(t *testing.T) {
 	if m.UMax() != loop.MaxSpeed {
 		t.Fatalf("UMax %g, want the pump ceiling %g", m.UMax(), loop.MaxSpeed)
 	}
-	res, err := m.Evaluate(200, 0.5)
+	res, err := solveOne(m, nil, scalarPt(200, 0.5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestLiquidAdjointMatchesCentralDiff(t *testing.T) {
 
 	evalP := func(m *Model) func(u, itec float64) float64 {
 		return func(u, itec float64) float64 {
-			res, err := m.Evaluate(u, itec)
+			res, err := solveOne(m, nil, scalarPt(u, itec), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestLiquidAdjointMatchesCentralDiff(t *testing.T) {
 	}
 	evalT := func(m *Model) func(u, itec float64) float64 {
 		return func(u, itec float64) float64 {
-			res, err := m.Evaluate(u, itec)
+			res, err := solveOne(m, nil, scalarPt(u, itec), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +149,7 @@ func TestLiquidAdjointMatchesCentralDiff(t *testing.T) {
 	}
 	for _, pt := range points {
 		t.Run(pt.name, func(t *testing.T) {
-			g, err := pt.m.EvaluateGrad(pt.u, pt.itec)
+			g, err := pt.m.SolveGrad(nil, scalarPt(pt.u, pt.itec))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +197,7 @@ func TestLiquidROMFidelity(t *testing.T) {
 			if !ok {
 				continue
 			}
-			fr, err := m.Evaluate(u, itec)
+			fr, err := solveOne(m, nil, scalarPt(u, itec), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,7 +11,7 @@ import (
 // This file is the equivalence suite for the patched assembly path: the
 // production assembleInto (O(nnz) copy + O(n) diagonal/RHS patches into a
 // frozen symbolic pattern) must agree with the Builder-based
-// assembleReference to 1e-12 entrywise, and the end-to-end Evaluate /
+// assembleReference to 1e-12 entrywise, and the end-to-end Solve /
 // EvaluateExact results must match a reference-assembled solve, including
 // the runaway classification at the corners of the operating space.
 
@@ -52,8 +52,8 @@ func TestAssembleMatchesReference(t *testing.T) {
 	defer m.putScratch(sc)
 	for _, omega := range omegas {
 		for _, itec := range currents {
-			m.assembleInto(sc, omega, m.uniformCurrent(itec), true, nil)
-			ref, refRHS, err := m.assembleReference(omega, m.uniformCurrent(itec), true, nil)
+			m.assembleInto(sc, omega, drive{currents: []float64{itec}}, true, nil)
+			ref, refRHS, err := m.assembleReference(omega, drive{currents: []float64{itec}}, true, nil)
 			if err != nil {
 				t.Fatalf("(ω=%g, I=%g): %v", omega, itec, err)
 			}
@@ -83,8 +83,8 @@ func TestAssembleMatchesReferenceConstantLeakage(t *testing.T) {
 	}
 	sc := m.getScratch()
 	defer m.putScratch(sc)
-	m.assembleInto(sc, 200, m.uniformCurrent(1.5), false, leak)
-	ref, refRHS, err := m.assembleReference(200, m.uniformCurrent(1.5), false, leak)
+	m.assembleInto(sc, 200, drive{currents: []float64{1.5}}, false, leak)
+	ref, refRHS, err := m.assembleReference(200, drive{currents: []float64{1.5}}, false, leak)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,17 +101,18 @@ func TestAssembleMatchesReferenceConstantLeakage(t *testing.T) {
 
 // referenceEvaluate is the pre-optimization end-to-end path: Builder
 // assembly plus an unpreconditioned-cache solve from a cold ambient start,
-// with the same classification rules as Evaluate.
+// with the same classification rules as Solve.
 func referenceEvaluate(t *testing.T, m *Model, omega, itec float64) *Result {
 	t.Helper()
-	mat, rhs, err := m.assembleReference(omega, m.uniformCurrent(itec), true, nil)
+	d := drive{currents: []float64{itec}}
+	mat, rhs, err := m.assembleReference(omega, d, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm := make([]float64, m.n)
 	sparse.Fill(warm, m.cfg.Ambient)
 	temps, stats, err := m.solve(mat, rhs, warm)
-	return m.steadyState(omega, itec, temps, stats, err)
+	return m.steadyState(omega, d, temps, stats, err)
 }
 
 // solve runs the sparse solve of a reference assembly from warm.
@@ -124,7 +125,7 @@ func TestEvaluateMatchesReferencePath(t *testing.T) {
 	omegas, currents := equivGrid(m.cfg)
 	for _, omega := range omegas {
 		for _, itec := range currents {
-			got, err := m.Evaluate(omega, itec)
+			got, err := solveOne(m, nil, scalarPt(omega, itec), nil)
 			if err != nil {
 				t.Fatalf("(ω=%g, I=%g): %v", omega, itec, err)
 			}
@@ -173,7 +174,7 @@ func TestEvaluateExactIsFixedPoint(t *testing.T) {
 		tc := res.T[m.node(planeChip, i)]
 		leak[i] = m.leakP0[i] * math.Exp(m.leakBeta*(tc-m.leakT0))
 	}
-	mat, rhs, err := m.assembleReference(250, m.uniformCurrent(1.2), false, leak)
+	mat, rhs, err := m.assembleReference(250, drive{currents: []float64{1.2}}, false, leak)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,14 +197,14 @@ func TestEvaluateExactIsFixedPoint(t *testing.T) {
 }
 
 // TestConcurrentPooledEvaluate hammers one model from many goroutines
-// across every entry point that borrows pooled scratch — Evaluate,
-// EvaluateWarm, EvaluateExact, EvaluateZoned, and a Transient — and then
+// across every entry point that borrows pooled scratch — Solve cold, warm
+// and under a one-zone zoning, EvaluateExact, and a Transient — and then
 // checks the linearized results against a fresh serial model. The mix
 // includes warm-start hints, so whichever racer solves a point first fixes
 // the memoized bits; the comparison is therefore to solver tolerance, not
 // bit-exact (the warm-free determinism contract is pinned separately by
 // the core stress test). Run under -race this exercises the sync.Pool
-// handoff, the version and memo maps, and the shared factorization cache.
+// handoff, the result memo, and the shared factorization cache.
 func TestConcurrentPooledEvaluate(t *testing.T) {
 	cfg := testConfig()
 	m := benchModel(t, cfg, "Basicmath")
@@ -234,12 +235,12 @@ func TestConcurrentPooledEvaluate(t *testing.T) {
 				p := points[(w+i)%len(points)]
 				switch i % 4 {
 				case 0:
-					if _, err := m.Evaluate(p.omega, p.itec); err != nil {
+					if _, err := solveOne(m, nil, scalarPt(p.omega, p.itec), nil); err != nil {
 						errs <- err
 						return
 					}
 				case 1:
-					res, err := m.EvaluateWarm(p.omega, p.itec, warm)
+					res, err := solveOne(m, nil, scalarPt(p.omega, p.itec), warm)
 					if err != nil {
 						errs <- err
 						return
@@ -253,7 +254,7 @@ func TestConcurrentPooledEvaluate(t *testing.T) {
 						return
 					}
 				case 3:
-					if _, err := m.EvaluateZoned(p.omega, zoning, []float64{p.itec}); err != nil {
+					if _, err := solveOne(m, zoning, Point{Omega: p.omega, Currents: []float64{p.itec}}, nil); err != nil {
 						errs <- err
 						return
 					}
@@ -280,11 +281,11 @@ func TestConcurrentPooledEvaluate(t *testing.T) {
 
 	ref := benchModel(t, cfg, "Basicmath")
 	for _, p := range points {
-		want, err := ref.Evaluate(p.omega, p.itec)
+		want, err := solveOne(ref, nil, scalarPt(p.omega, p.itec), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := m.Evaluate(p.omega, p.itec)
+		got, err := solveOne(m, nil, scalarPt(p.omega, p.itec), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,7 +80,7 @@ func softmaxWeights(w, temps []float64, tau float64) {
 // vector x = (ω, I₁..I_k).
 type Gradient struct {
 	// Result is the steady state the gradients are taken at (shared with
-	// the evaluation memo; read-only).
+	// the result memo; read-only).
 	Result *Result
 
 	// PowerGrad is ∇𝒫 = (∂𝒫/∂ω, ∂𝒫/∂I₁..∂𝒫/∂I_k) for the cooling power
@@ -103,34 +103,21 @@ type Gradient struct {
 	AdjointStats sparse.Stats
 }
 
-// EvaluateGrad computes the steady state at (ω, I_TEC) and the exact
-// gradients of 𝒫 and the smoothed 𝒯 via the adjoint method. The system
-// G(ω,I)·T = b(ω,I) is symmetric, so each objective costs one extra
-// solve Gᵀλ = ∂j/∂T on the already-assembled matrix, reusing the cached
-// ω-slice IC(0) factorization — one forward + one backward triangular
-// sweep per preconditioner application, no new factorization, instead of
-// the k+1 full solves a finite-difference gradient burns.
-func (m *Model) EvaluateGrad(omega, iTEC float64) (*Gradient, error) {
-	if err := m.checkOperatingPoint(omega, iTEC); err != nil {
-		return nil, err
-	}
-	res, err := m.EvaluateWarm(omega, iTEC, nil)
+// SolveGrad computes the steady state at p (see Solve for z and the
+// currents) and the exact gradients of 𝒫 and the smoothed 𝒯 with respect
+// to x = (ω, I₁..I_k) via the adjoint method; the gradients have length
+// 1+k. The system G(x)·T = b(x) is symmetric, so each objective costs
+// one extra solve Gᵀλ = ∂j/∂T on the already-assembled matrix, reusing
+// the cached ω-slice IC(0) factorization — no new factorization, instead
+// of the k+1 full solves a finite-difference gradient burns. A
+// series-deployment point's steady state comes from the result memo when
+// it was just solved.
+func (m *Model) SolveGrad(z *Zoning, p Point) (*Gradient, error) {
+	z, err := m.prepare(z, []Point{p}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return m.gradientAt(res, omega, nil, []float64{iTEC})
-}
-
-// EvaluateZonedGrad is EvaluateGrad with one driving current per zone:
-// the returned gradients have length 1+k, ordered (ω, I₁..I_k). A
-// single-zone zoning reduces to the scalar gradient exactly, mirroring
-// EvaluateZonedWarm's k=1 delegation.
-func (m *Model) EvaluateZonedGrad(omega float64, z *Zoning, currents []float64) (*Gradient, error) {
-	res, err := m.EvaluateZonedWarm(omega, z, currents, nil)
-	if err != nil {
-		return nil, err
-	}
-	return m.gradientAt(res, omega, z.zoneOf, currents)
+	return m.gradientAt(m.solvePoint(z, p, nil), driveOf(z, p))
 }
 
 // gradientAt runs the two adjoint solves and assembles the derivative
@@ -145,11 +132,12 @@ func (m *Model) EvaluateZonedGrad(omega float64, z *Zoning, currents []float64) 
 // G⁻ᵀ = G⁻¹ is a forward SolveAuto under the cached slice factor.
 //
 //oftec:allocok two solution vectors per gradient by SolveAuto contract; scratch is pooled
-func (m *Model) gradientAt(res *Result, omega float64, zoneOf []int, currents []float64) (*Gradient, error) {
+func (m *Model) gradientAt(res *Result, d drive) (*Gradient, error) {
+	omega := res.Omega
 	if res.Runaway {
 		return nil, fmt.Errorf("thermal: cannot differentiate a runaway operating point (ω=%g)", omega)
 	}
-	k := len(currents)
+	k := len(d.currents)
 	nc := len(res.ChipTemps)
 	tau := SmoothMaxTau(nc, DefaultSmoothBound)
 	g := &Gradient{
@@ -163,19 +151,12 @@ func (m *Model) gradientAt(res *Result, omega float64, zoneOf []int, currents []
 		g.SmoothBound = tau * math.Log(float64(nc))
 	}
 
-	cur := func(cell int) float64 {
-		if zoneOf == nil {
-			return currents[0]
-		}
-		return currents[zoneOf[cell]]
-	}
-
 	sc := m.getScratch()
 	defer m.putScratch(sc)
 	// Re-assemble the exact system the steady state solved; only the
 	// matrix is needed (the adjoint RHS replaces b), but assembleInto
 	// refreshes both in one O(nnz) pass.
-	m.assembleInto(sc, omega, cur, true, nil)
+	m.assembleInto(sc, omega, d, true, nil)
 
 	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, Work: &sc.ws}
 	if ic, ok := m.slicePrecond(omega); ok {
@@ -193,7 +174,7 @@ func (m *Model) gradientAt(res *Result, omega float64, zoneOf []int, currents []
 		if alpha == 0 {
 			continue
 		}
-		iz := cur(i)
+		iz := d.at(i)
 		adjRHS[m.node(planeTECHot, i)] += alpha * iz
 		adjRHS[m.node(planeTECCold, i)] -= alpha * iz
 	}
@@ -243,10 +224,10 @@ func (m *Model) gradientAt(res *Result, omega float64, zoneOf []int, currents []
 			continue
 		}
 		zi := 0
-		if zoneOf != nil {
-			zi = zoneOf[i]
+		if d.zoneOf != nil {
+			zi = d.zoneOf[i]
 		}
-		iz := currents[zi]
+		iz := d.currents[zi]
 		cold := m.node(planeTECCold, i)
 		mid := m.node(planeTECMid, i)
 		hot := m.node(planeTECHot, i)

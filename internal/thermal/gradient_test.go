@@ -76,7 +76,7 @@ func TestAdjointMatchesCentralDiffScalar(t *testing.T) {
 	tau := SmoothMaxTau(nc, DefaultSmoothBound)
 
 	evalP := func(omega, itec float64) float64 {
-		res, err := m.Evaluate(omega, itec)
+		res, err := solveOne(m, nil, scalarPt(omega, itec), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestAdjointMatchesCentralDiffScalar(t *testing.T) {
 		return res.CoolingPower()
 	}
 	evalT := func(omega, itec float64) float64 {
-		res, err := m.Evaluate(omega, itec)
+		res, err := solveOne(m, nil, scalarPt(omega, itec), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestAdjointMatchesCentralDiffScalar(t *testing.T) {
 	}
 	for _, pt := range points {
 		t.Run(pt.name, func(t *testing.T) {
-			g, err := m.EvaluateGrad(pt.omega, pt.itec)
+			g, err := m.SolveGrad(nil, scalarPt(pt.omega, pt.itec))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +148,7 @@ func TestAdjointMatchesCentralDiffZoned(t *testing.T) {
 			}
 			const omega = 220.0
 
-			g, err := m.EvaluateZonedGrad(omega, z, currents)
+			g, err := m.SolveGrad(z, Point{Omega: omega, Currents: currents})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +157,7 @@ func TestAdjointMatchesCentralDiffZoned(t *testing.T) {
 			}
 
 			eval := func(w float64, cur []float64) *Result {
-				res, err := m.EvaluateZoned(w, z, cur)
+				res, err := solveOne(m, z, Point{Omega: w, Currents: cur}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -196,11 +196,11 @@ func TestAdjointZonedSingleZoneMatchesScalar(t *testing.T) {
 	cfg := testConfig()
 	m := benchModel(t, cfg, "Basicmath")
 	z := testZoning(t, m, 1)
-	gz, err := m.EvaluateZonedGrad(210, z, []float64{0.9})
+	gz, err := m.SolveGrad(z, Point{Omega: 210, Currents: []float64{0.9}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs, err := m.EvaluateGrad(210, 0.9)
+	gs, err := m.SolveGrad(nil, scalarPt(210, 0.9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,26 @@ func TestAdjointRunawayRejected(t *testing.T) {
 	m := benchModel(t, testConfig(), "Basicmath")
 	// Fanless, max current: the corner the equivalence suite pins as
 	// runaway.
-	if _, err := m.EvaluateGrad(0, m.Config().TEC.MaxCurrent); err == nil {
-		t.Fatal("EvaluateGrad on a runaway point returned a gradient")
+	if _, err := m.SolveGrad(nil, scalarPt(0, m.Config().TEC.MaxCurrent)); err == nil {
+		t.Fatal("SolveGrad on a runaway point returned a gradient")
+	}
+}
+
+// TestSolveGradReusesSolvedResult: the adjoint gradient at a point just
+// solved reads the memoized steady state instead of re-solving it — the
+// forward solve an adjoint optimizer pays once per iterate.
+func TestSolveGradReusesSolvedResult(t *testing.T) {
+	m := benchModel(t, testConfig(), "Basicmath")
+	p := scalarPt(230, 1.1)
+	res, err := solveOne(m, nil, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := m.SolveGrad(nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Result != res {
+		t.Error("SolveGrad re-solved a point the memo holds (Result pointer differs)")
 	}
 }

@@ -11,7 +11,7 @@ import (
 func TestWriteHeatmapCSV(t *testing.T) {
 	cfg := testConfig()
 	m := benchModel(t, cfg, "FFT")
-	res, err := m.Evaluate(units.RPMToRadPerSec(3000), 1)
+	res, err := solveOne(m, nil, scalarPt(units.RPMToRadPerSec(3000), 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestWriteHeatmapCSV(t *testing.T) {
 	if err := m.WriteHeatmapCSV(&buf, res, "nonesuch"); err == nil {
 		t.Error("unknown plane accepted")
 	}
-	runaway, err := m.Evaluate(0, 0)
+	runaway, err := solveOne(m, nil, scalarPt(0, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -44,7 +45,7 @@ type triplet struct {
 }
 
 // Model is the assembled thermal network of one cooling package. It is
-// safe for concurrent Evaluate calls once built, as long as SetDynamicPower
+// safe for concurrent Solve calls once built, as long as SetDynamicPower
 // is not called concurrently.
 type Model struct {
 	cfg Config
@@ -92,28 +93,26 @@ type Model struct {
 	baseVals []float64   // basePat's value array (patch copy source)
 	diagIdx  []int32     // per-row index of the diagonal slot in the value array
 
-	// factors caches IC(0) factorizations across evaluations, keyed on a
-	// per-operating-point value-version (see versionFor): the matrix is a
-	// pure function of (ω, current pattern, leakage linearization, Δt),
-	// so a repeated operating point reuses its factorization.
-	factors *sparse.FactorCache
-	verMu   sync.Mutex
-	vers    map[verKey]uint64
-	nextVer uint64
+	// factors caches IC(0) factorizations across evaluations, keyed on
+	// the operating point whose matrix was factorized: the ω-slice's
+	// canonical I_TEC = 0 system for steady states (see slicePrecond),
+	// the backward-Euler system for transient steps.
+	factors *sparse.FactorCache[opKey]
 
-	// resMem memoizes the Result per solution version — the second-level
-	// cache below core's bounded evaluation cache. A repeated operating
-	// point (the dominant pattern in line searches and repeated sweeps)
-	// returns the identical first-computed Result, so re-solves after an
-	// upstream cache eviction stay bit-reproducible. Linearized and exact
-	// solutions key separately: they share the matrix version (and hence
-	// the factorization) but not the fixed point. SetDynamicPower flushes
-	// the memo.
+	// resMem memoizes the Result per series-deployment operating point —
+	// the second-level cache below the bounded evaluation cache. It
+	// answers the exact-point repeats that bypass the quantized cache
+	// (optimizer finishes verify through the authoritative backend, and
+	// an adjoint gradient re-reads the steady state its forward solve
+	// just produced) with the identical first-computed Result, so
+	// re-solves after an upstream eviction stay bit-reproducible.
+	// Linearized and exact solutions key separately. SetDynamicPower
+	// flushes the memo.
 	resMu  sync.Mutex
-	resMem map[uint64]*Result
+	resMem map[opKey]*Result
 
 	// scratch pools per-evaluation workspaces (matrix values, RHS, warm
-	// vector, CG work arrays) so concurrent Evaluate stays race-free
+	// vector, CG work arrays) so concurrent Solve stays race-free
 	// without per-call allocation.
 	scratch sync.Pool
 
@@ -124,15 +123,42 @@ type Model struct {
 	dynGen atomic.Uint64
 }
 
-// verKey identifies the system-matrix content of one evaluation: the
-// matrix depends only on the fan speed (sink conductance), the uniform
-// TEC current (Peltier diagonals), whether the Taylor leakage is folded
-// in, and the backward-Euler 1/Δt shift (0 for steady state). Dynamic
-// power and exact-leakage injections enter the RHS only. Zoned (non-
-// uniform) current patterns bypass versioning and are never cached.
-type verKey struct {
+// opKey identifies one series-deployment operating point: the fan speed,
+// the uniform TEC current, whether the Taylor leakage is folded into the
+// matrix (false: the exact fixed point), and the backward-Euler step Δt
+// (0 for steady state). It keys the result memo and the factor cache;
+// zoned current patterns are never cached under it.
+type opKey struct {
 	omega, itec, dt float64
 	linear          bool
+}
+
+// drive is the per-cell TEC driving current of one operating point: with
+// zoneOf nil every module carries currents[0] (the paper's series
+// string); otherwise cell i carries currents[zoneOf[i]]. The zero drive
+// leaves every module unpowered.
+type drive struct {
+	zoneOf   []int
+	currents []float64
+}
+
+func (d drive) at(cell int) float64 {
+	switch {
+	case d.zoneOf != nil:
+		return d.currents[d.zoneOf[cell]]
+	case len(d.currents) == 0:
+		return 0
+	}
+	return d.currents[0]
+}
+
+// max is the largest zone current, which Result.ITEC echoes.
+func (d drive) max() float64 {
+	c := d.currents[0]
+	for _, v := range d.currents[1:] {
+		c = math.Max(c, v)
+	}
+	return c
 }
 
 // evalScratch is one pooled per-evaluation workspace.
@@ -146,15 +172,6 @@ type evalScratch struct {
 	// EvaluateExact fixed-point scratch (chip-cell sized).
 	chipRHS []float64 // leak-free RHS at the chip nodes
 	tChip   []float64
-
-	// itec is the uniform TEC current the evaluation in flight is running
-	// at; uniform is a closure over it built once when the scratch is
-	// created. Handing sc.uniform to assembleInto instead of
-	// m.uniformCurrent(iTEC) keeps the hot evaluate path free of the
-	// per-call closure allocation (the scratch, and with it the closure,
-	// is pooled).
-	itec    float64
-	uniform func(int) float64
 }
 
 // NewModel assembles the network for the given configuration and dynamic
@@ -487,7 +504,7 @@ func (m *Model) SetDynamicPower(dyn power.Map) error {
 	m.dynGen.Add(1)
 	if m.resMem != nil {
 		m.resMu.Lock()
-		m.resMem = make(map[uint64]*Result)
+		m.resMem = make(map[opKey]*Result)
 		m.resMu.Unlock()
 	}
 	return nil
@@ -511,12 +528,6 @@ func (m *Model) TotalLeakageSlope() float64 {
 		s += a
 	}
 	return s
-}
-
-// uniformCurrent returns the per-cell current function for the paper's
-// deployment: every module in series carries the same current.
-func (m *Model) uniformCurrent(iTEC float64) func(int) float64 {
-	return func(int) float64 { return iTEC }
 }
 
 // buildSymbolic freezes the shared sparsity pattern and the reuse
@@ -548,9 +559,8 @@ func (m *Model) buildSymbolic() error {
 	if m.diagIdx, err = pat.DiagIndices(); err != nil {
 		return err
 	}
-	m.factors = sparse.NewFactorCache(0)
-	m.vers = make(map[verKey]uint64)
-	m.resMem = make(map[uint64]*Result)
+	m.factors = sparse.NewFactorCache[opKey](0)
+	m.resMem = make(map[opKey]*Result)
 	nc := m.grids[planeChip].NumCells()
 	m.scratch.New = func() any {
 		sc := &evalScratch{
@@ -566,88 +576,54 @@ func (m *Model) buildSymbolic() error {
 			panic(werr)
 		}
 		sc.mat = mat
-		sc.uniform = func(int) float64 { return sc.itec }
 		return sc
 	}
 	return nil
 }
 
-// maxVersions bounds the operating-point → version map. Past the bound it
-// clears wholesale; versions stay monotonic, so entries cached under
-// cleared keys are never wrongly revived — they age out of the bounded
-// factor cache instead.
-const maxVersions = 4096
-
-// versionFor returns the stable matrix value-version for an operating
-// point, minting a fresh one on first sight.
-//
-//oftec:hotpath
-func (m *Model) versionFor(k verKey) uint64 {
-	m.verMu.Lock()
-	defer m.verMu.Unlock()
-	if v, ok := m.vers[k]; ok {
-		return v
-	}
-	if len(m.vers) >= maxVersions {
-		//lint:ignore hotalloc amortized wholesale clear, at most once per maxVersions hits
-		m.vers = make(map[verKey]uint64)
-	}
-	m.nextVer++
-	m.vers[k] = m.nextVer
-	return m.nextVer
-}
-
 func (m *Model) getScratch() *evalScratch   { return m.scratch.Get().(*evalScratch) }
 func (m *Model) putScratch(sc *evalScratch) { m.scratch.Put(sc) }
 
-// maxResults bounds the per-version result memo (each entry holds a full
-// temperature field, NumNodes×8 bytes, so the bound caps the memory at a
-// few megabytes). Past the bound it clears wholesale, like the version map.
+// maxResults bounds the result memo (each entry holds a full temperature
+// field, NumNodes×8 bytes, so the bound caps the memory at a few
+// megabytes). Past the bound it clears wholesale.
 const maxResults = 256
 
-// loadResult returns the memoized Result for solution version v. Version 0
-// never has a memory. The pointer is shared, exactly as core's evaluation
-// cache shares results across callers.
+// loadResult returns the memoized Result for operating point k. The
+// pointer is shared, exactly as the evaluation cache shares results
+// across callers.
 //
 //oftec:hotpath
-func (m *Model) loadResult(v uint64) (*Result, bool) {
-	if v == 0 {
-		return nil, false
-	}
+func (m *Model) loadResult(k opKey) (*Result, bool) {
 	m.resMu.Lock()
 	defer m.resMu.Unlock()
-	res, ok := m.resMem[v]
+	res, ok := m.resMem[k]
 	return res, ok
 }
 
 // storeResult memoizes a computed Result (converged or runaway — both are
-// deterministic functions of the operating point) for solution version v.
+// deterministic functions of the operating point) for operating point k.
 //
 //oftec:hotpath
-func (m *Model) storeResult(v uint64, res *Result) {
-	if v == 0 {
-		return
-	}
+func (m *Model) storeResult(k opKey, res *Result) {
 	m.resMu.Lock()
 	defer m.resMu.Unlock()
 	if len(m.resMem) >= maxResults {
 		//lint:ignore hotalloc amortized wholesale clear, at most once per maxResults stores
-		m.resMem = make(map[uint64]*Result)
+		m.resMem = make(map[opKey]*Result)
 	}
-	m.resMem[v] = res
+	m.resMem[k] = res
 }
 
 // assembleInto refreshes sc with the system at the given operating point:
 // an O(nnz) copy of the frozen base values followed by O(n) diagonal and
 // RHS patches. It mirrors assembleReference exactly (the equivalence suite
-// pins the two paths to ≤1e-12); the matrix comes back unversioned, so a
-// caller that forgets to stamp a version degrades to uncached solves, never
-// to wrong factorization reuse. A nil leakConst with linearLeak=false
+// pins the two paths to ≤1e-12). A nil leakConst with linearLeak=false
 // leaves the leakage out entirely — the exact fixed-point loop patches it
 // into the RHS per iteration.
 //
 //oftec:hotpath
-func (m *Model) assembleInto(sc *evalScratch, omega float64, cur func(int) float64, linearLeak bool, leakConst []float64) {
+func (m *Model) assembleInto(sc *evalScratch, omega float64, d drive, linearLeak bool, leakConst []float64) {
 	copy(sc.vals, m.baseVals)
 	copy(sc.rhs, m.baseRHS)
 
@@ -679,7 +655,7 @@ func (m *Model) assembleInto(sc *evalScratch, omega float64, cur func(int) float
 		if alpha == 0 {
 			continue
 		}
-		iTEC := cur(i)
+		iTEC := d.at(i)
 		if iTEC == 0 {
 			continue
 		}
@@ -687,12 +663,10 @@ func (m *Model) assembleInto(sc *evalScratch, omega float64, cur func(int) float
 		sc.vals[m.diagIdx[m.node(planeTECHot, i)]] -= alpha * iTEC
 		sc.rhs[m.node(planeTECMid, i)] += m.tecR[i] * iTEC * iTEC
 	}
-
-	sc.mat.SetVersion(0)
 }
 
 // solveScratch runs the sparse solve through the scratch workspace. All
-// steady-state paths (scalar, zoned, exact, batched) share the ω-slice
+// steady-state paths (per-point, exact, batched, adjoint) share the ω-slice
 // preconditioner: one IC(0) factorization of the canonical I_TEC = 0
 // matrix serves every operating point in the slice, since the per-point
 // systems differ only in a few TEC diagonal terms. The preconditioner is
@@ -710,48 +684,29 @@ func (m *Model) solveScratch(sc *evalScratch, omega float64, warm []float64) ([]
 }
 
 // slicePrecond returns the cached IC(0) preconditioner of the ω-slice's
-// canonical matrix (the I_TEC = 0 assembly — the same matrix version
-// EvaluateWarm(ω, 0) stamps), building and caching it on first sight.
+// canonical matrix (the I_TEC = 0 assembly), building and caching it on
+// first sight.
 //
 //oftec:allocok one canonical assembly + factorization per ω-slice, amortized across every point in the slice
 func (m *Model) slicePrecond(omega float64) (*sparse.ICPreconditioner, bool) {
-	sliceVer := m.versionFor(verKey{omega: omega, linear: true})
-	return m.factors.ICVersioned(sliceVer, func() (*sparse.ICPreconditioner, error) {
+	return m.factors.IC(opKey{omega: omega, linear: true}, func() (*sparse.ICPreconditioner, error) {
 		sc := m.getScratch()
 		defer m.putScratch(sc)
-		sc.itec = 0
-		m.assembleInto(sc, omega, sc.uniform, true, nil)
+		m.assembleInto(sc, omega, drive{}, true, nil)
 		return sparse.NewICPreconditioner(sc.mat)
 	})
-}
-
-// solveScratchOwn is solveScratch with a preconditioner factored from
-// the scratch matrix itself, keyed on its stamped version. The transient
-// integrator uses it: its matrices carry the C/Δt diagonal patch on
-// every row, far from the canonical slice matrix, so the shared slice
-// preconditioner would fit poorly there.
-//
-//oftec:hotpath
-func (m *Model) solveScratchOwn(sc *evalScratch, warm []float64) ([]float64, sparse.Stats, error) {
-	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, X0: warm, Work: &sc.ws}
-	if sc.mat.Version() != 0 {
-		if ic, ok := m.factors.IC(sc.mat); ok {
-			opts.Precond = ic
-		}
-	}
-	return sparse.SolveAuto(sc.mat, sc.rhs, opts)
 }
 
 // assembleReference builds the system matrix and RHS for the given
 // operating point through a fresh sparse.Builder. It is the slow reference
 // implementation of the assembly — the production path is assembleInto,
-// and the equivalence suite asserts the two agree to 1e-12. cur supplies
+// and the equivalence suite asserts the two agree to 1e-12. d supplies
 // the TEC driving current per chip-grid cell (the paper's series
 // deployment uses a uniform current; the zoned extension drives groups of
 // modules independently). linearLeak selects whether the Taylor leakage is
 // folded into the system (true) or the provided constant per-cell leakage
 // powers are used (false, for the exact fixed-point iteration).
-func (m *Model) assembleReference(omega float64, cur func(int) float64, linearLeak bool, leakConst []float64) (*sparse.CSR, []float64, error) {
+func (m *Model) assembleReference(omega float64, d drive, linearLeak bool, leakConst []float64) (*sparse.CSR, []float64, error) {
 	b := sparse.NewBuilder(m.n)
 	for _, t := range m.base {
 		b.Add(t.i, t.j, t.v)
@@ -787,7 +742,7 @@ func (m *Model) assembleReference(omega float64, cur func(int) float64, linearLe
 		if alpha == 0 {
 			continue
 		}
-		iTEC := cur(i)
+		iTEC := d.at(i)
 		if iTEC == 0 {
 			continue
 		}
@@ -806,49 +761,110 @@ func (m *Model) assembleReference(omega float64, cur func(int) float64, linearLe
 	return mat, rhs, nil
 }
 
-// Evaluate computes the steady state at the operating point (ω, I_TEC)
-// using the Taylor-linearized leakage folded into the linear system —
-// constraint (14) as one sparse solve. A runaway steady state (see
-// runawayCause) is reported in Result.Runaway with infinite
-// temperature/power figures rather than as an error, matching the paper's
-// description of 𝒫 and 𝒯 tending to infinity.
-func (m *Model) Evaluate(omega, iTEC float64) (*Result, error) {
-	return m.EvaluateWarm(omega, iTEC, nil)
+// Point is one steady-state operating point: the actuator command (the fan
+// speed ω in rad/s under air cooling, the pump speed under a liquid loop)
+// and one TEC driving current per control zone. The paper's series
+// deployment is the one-zone case.
+type Point struct {
+	Omega    float64
+	Currents []float64
 }
 
-// EvaluateWarm is Evaluate with an optional warm-start temperature field of
-// length NumNodes — typically the solution at a neighboring operating
-// point; nil starts from a uniform ambient field. Sweeps and line searches
-// that walk the operating space hand the previous solution forward and cut
-// the CG iteration count substantially. The warm slice is read, never
-// written; it only steers the iterative solver, so a memoized result for
-// the exact operating point is returned without re-solving either way.
+// Solve computes the steady state at every operating point, with the
+// Taylor-linearized leakage folded into the linear system — constraint
+// (14) as one sparse solve per point. z == nil is the paper's series
+// deployment and every point carries one current; otherwise every point
+// carries one current per zone of z, and a one-zone zoning is exactly the
+// series deployment. A runaway steady state (see runawayCause) is
+// reported in Result.Runaway with infinite temperature/power figures
+// rather than as an error, matching the paper's description of 𝒫 and 𝒯
+// tending to infinity. The results are appended to dst (which may be
+// nil) positionally aligned with pts, and the extended slice is
+// returned; a series-deployment point's Result is memoized and shared.
+// A single point with spare capacity in dst answers a memo hit without
+// allocating.
+//
+// warm is an optional warm-start temperature field of length NumNodes
+// that steers the iterative solver, never the answer; it is read, never
+// written. A single point solves on its own from warm (nil: a uniform
+// ambient field). Longer slices run the batched engine (solveBatch),
+// whose results are reflect.DeepEqual, SolveStats included, to per-point
+// solves under the sweep warm-start carry: with warm == nil the first
+// point of each ω-group seeds from ambient and the rest from its
+// solution; with warm set every point seeds from it. The batched engine
+// checks ctx (nil: no cancellation) between chunks and returns ctx.Err()
+// with no results once it is cancelled.
 //
 //oftec:hotpath
-func (m *Model) EvaluateWarm(omega, iTEC float64, warm []float64) (*Result, error) {
-	if err := m.checkOperatingPoint(omega, iTEC); err != nil {
+func (m *Model) Solve(ctx context.Context, z *Zoning, pts []Point, warm []float64, dst []*Result) ([]*Result, error) {
+	z, err := m.prepare(z, pts, warm)
+	if err != nil {
+		return nil, err
+	}
+	if len(pts) != 1 {
+		return m.solveBatch(ctx, z, pts, warm, dst)
+	}
+	res := m.solvePoint(z, pts[0], warm)
+	//lint:ignore hotalloc grows dst only when the caller passes no spare capacity
+	return append(dst, res), nil
+}
+
+// prepare validates a Solve request and returns the zoning to solve it
+// under: nil for the series deployment, which a one-zone zoning is.
+func (m *Model) prepare(z *Zoning, pts []Point, warm []float64) (*Zoning, error) {
+	if err := m.checkPoints(z, pts); err != nil {
 		return nil, err
 	}
 	if err := m.checkWarm(warm); err != nil {
 		return nil, err
 	}
-	ver := m.versionFor(verKey{omega: omega, itec: iTEC, linear: true})
-	if res, ok := m.loadResult(ver); ok {
-		return res, nil
+	if z != nil && z.numZones == 1 {
+		return nil, nil
+	}
+	return z, nil
+}
+
+// memoKey returns the result-memo key of a validated point and whether
+// the point is memoized at all: series-deployment points are, zoned ones
+// (whose currents are a slice) are not.
+func memoKey(z *Zoning, p Point) (opKey, bool) {
+	if z != nil {
+		return opKey{}, false
+	}
+	return opKey{omega: p.Omega, itec: p.Currents[0], linear: true}, true
+}
+
+// driveOf resolves a validated point's per-cell currents.
+func driveOf(z *Zoning, p Point) drive {
+	if z == nil {
+		return drive{currents: p.Currents}
+	}
+	return drive{zoneOf: z.zoneOf, currents: p.Currents}
+}
+
+// solvePoint is Solve's per-point path for a validated point (with a
+// one-zone zoning already reduced to nil).
+func (m *Model) solvePoint(z *Zoning, p Point, warm []float64) *Result {
+	key, memo := memoKey(z, p)
+	if memo {
+		if res, ok := m.loadResult(key); ok {
+			return res
+		}
 	}
 	sc := m.getScratch()
 	defer m.putScratch(sc)
-	sc.itec = iTEC
-	m.assembleInto(sc, omega, sc.uniform, true, nil)
-	sc.mat.SetVersion(ver)
+	d := driveOf(z, p)
+	m.assembleInto(sc, p.Omega, d, true, nil)
 	if warm == nil {
 		sparse.Fill(sc.warm, m.cfg.Ambient)
 		warm = sc.warm
 	}
-	t, stats, err := m.solveScratch(sc, omega, warm)
-	res := m.steadyState(omega, iTEC, t, stats, err)
-	m.storeResult(ver, res)
-	return res, nil
+	t, stats, err := m.solveScratch(sc, p.Omega, warm)
+	res := m.steadyState(p.Omega, d, t, stats, err)
+	if memo {
+		m.storeResult(key, res)
+	}
+	return res
 }
 
 // EvaluateExact computes the steady state using the exact exponential
@@ -859,11 +875,10 @@ func (m *Model) EvaluateExact(omega, iTEC float64) (*Result, error) {
 	if err := m.checkOperatingPoint(omega, iTEC); err != nil {
 		return nil, err
 	}
-	// The solution memo keys exact results under linear=false — distinct
-	// from the matrix version below, which is shared with the linearized
-	// path (same matrix, different fixed point).
-	solVer := m.versionFor(verKey{omega: omega, itec: iTEC, linear: false})
-	if res, ok := m.loadResult(solVer); ok {
+	// The memo keys exact results under linear=false: the matrix is the
+	// linearized path's, the fixed point is not.
+	key := opKey{omega: omega, itec: iTEC}
+	if res, ok := m.loadResult(key); ok {
 		return res, nil
 	}
 	sc := m.getScratch()
@@ -871,7 +886,7 @@ func (m *Model) EvaluateExact(omega, iTEC float64) (*Result, error) {
 
 	// The system matrix is hoisted out of the fixed-point loop entirely.
 	// Keeping the Taylor leakage folded into the matrix (exactly as in the
-	// linearized path — so the factorization is shared with Evaluate at the
+	// linearized path — so the factorization is shared with Solve at the
 	// same operating point) and iterating only on the second-order Taylor
 	// remainder  P0·e^{β(T−T0)} − (a(T−Tref)+b)  leaves a Picard map whose
 	// slope is the remainder's derivative — near zero over the regression
@@ -880,9 +895,8 @@ func (m *Model) EvaluateExact(omega, iTEC float64) (*Result, error) {
 	// vanishes); the contraction is much faster, and each refresh touches
 	// only the n_chip RHS entries. Inner solves warm-start from the
 	// previous iterate.
-	sc.itec = iTEC
-	m.assembleInto(sc, omega, sc.uniform, true, nil)
-	sc.mat.SetVersion(m.versionFor(verKey{omega: omega, itec: iTEC, linear: true}))
+	d := drive{currents: []float64{iTEC}}
+	m.assembleInto(sc, omega, d, true, nil)
 	nc := m.grids[planeChip].NumCells()
 	for i := 0; i < nc; i++ {
 		sc.chipRHS[i] = sc.rhs[m.node(planeChip, i)]
@@ -904,8 +918,8 @@ func (m *Model) EvaluateExact(omega, iTEC float64) (*Result, error) {
 		var solveErr error
 		t, stats, solveErr = m.solveScratch(sc, omega, warm)
 		if cause := m.runawayCause(t, solveErr); cause != NoRunaway {
-			res := m.runawayResult(omega, iTEC, stats, cause)
-			m.storeResult(solVer, res)
+			res := m.runawayResult(omega, d, stats, cause)
+			m.storeResult(key, res)
 			return res, nil
 		}
 		warm = t
@@ -918,19 +932,40 @@ func (m *Model) EvaluateExact(omega, iTEC float64) (*Result, error) {
 			tChip[i] = nt
 		}
 		if maxDelta < 1e-4 {
-			res := m.buildResult(omega, iTEC, t, stats, false)
+			res := m.buildResult(omega, d, t, stats, false)
 			res.OuterIterations = outer + 1
-			m.storeResult(solVer, res)
+			m.storeResult(key, res)
 			return res, nil
 		}
 	}
 	// No convergence within the budget: treat as runaway.
-	res := m.runawayResult(omega, iTEC, stats, RunawayDiverged)
-	m.storeResult(solVer, res)
+	res := m.runawayResult(omega, d, stats, RunawayDiverged)
+	m.storeResult(key, res)
 	return res, nil
 }
 
+// checkPoints validates every point of a Solve: one current per zone of
+// z (one for the series deployment), each a valid operating point.
+//
 //oftec:allocok cold validation path; error values are built only on caller misuse
+func (m *Model) checkPoints(z *Zoning, pts []Point) error {
+	k := 1
+	if z != nil {
+		k = z.numZones
+	}
+	for i, p := range pts {
+		if len(p.Currents) != k {
+			return fmt.Errorf("thermal: point %d has %d currents for %d zones", i, len(p.Currents), k)
+		}
+		for _, c := range p.Currents {
+			if err := m.checkOperatingPoint(p.Omega, c); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 func (m *Model) checkOperatingPoint(omega, iTEC float64) error {
 	if math.IsNaN(omega) || math.IsNaN(iTEC) {
 		return fmt.Errorf("thermal: operating point (ω=%g, I=%g) contains NaN", omega, iTEC)
@@ -984,11 +1019,11 @@ func (m *Model) runawayCause(t []float64, err error) RunawayCause {
 
 // steadyState materializes the Result of a linearized solve, classified
 // by runawayCause.
-func (m *Model) steadyState(omega, iTEC float64, t []float64, stats sparse.Stats, err error) *Result {
+func (m *Model) steadyState(omega float64, d drive, t []float64, stats sparse.Stats, err error) *Result {
 	if cause := m.runawayCause(t, err); cause != NoRunaway {
-		return m.runawayResult(omega, iTEC, stats, cause)
+		return m.runawayResult(omega, d, stats, cause)
 	}
-	return m.buildResult(omega, iTEC, t, stats, true)
+	return m.buildResult(omega, d, t, stats, true)
 }
 
 // physical reports whether the temperature field is physically meaningful.

@@ -1,7 +1,9 @@
 package thermal
 
 import (
+	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"oftec/internal/material"
@@ -45,6 +47,73 @@ func benchModel(t *testing.T, cfg Config, bench string) *Model {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// scalarPt is the series-deployment operating point (ω, I).
+func scalarPt(omega, itec float64) Point {
+	return Point{Omega: omega, Currents: []float64{itec}}
+}
+
+// solveOne runs Solve on the single point p.
+func solveOne(m *Model, z *Zoning, p Point, warm []float64) (*Result, error) {
+	rs, err := m.Solve(context.Background(), z, []Point{p}, warm, nil)
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
+}
+
+// TestSolveMemoHitAllocatesNothing pins the contract behind the
+// //oftec:hotpath mark on Solve: a repeated series-deployment point,
+// solved into a results buffer with room for it, answers from the memo
+// without allocating.
+func TestSolveMemoHitAllocatesNothing(t *testing.T) {
+	m := benchModel(t, testConfig(), "Basicmath")
+	pts := []Point{scalarPt(250, 1.2)}
+	var buf [1]*Result
+	rs, err := m.Solve(context.Background(), nil, pts, nil, buf[:0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rs[0]
+	allocs := testing.AllocsPerRun(100, func() {
+		rs, err := m.Solve(context.Background(), nil, pts, nil, buf[:0])
+		if err != nil || rs[0] != want {
+			t.Fatalf("memo hit: got %p, %v; want %p", rs, err, want)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("memo-hit Solve allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestNewZoningBoundsZoneCount: a zone count above the TEC-covered cell
+// count can never validate, and it is refused before anything is sized by
+// it, since the count may come from an untrusted request.
+func TestNewZoningBoundsZoneCount(t *testing.T) {
+	cfg := testConfig()
+	m := benchModel(t, cfg, "Basicmath")
+	assign := map[string]int{}
+	for _, u := range cfg.Floorplan.Units() {
+		assign[u.Name] = 0
+	}
+	assign[cfg.Floorplan.Units()[0].Name] = 1<<30 - 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := m.NewZoning(assign, 1<<30)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("2^30 zones accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing 2^30 zones allocated %d bytes", grew)
+	}
+	for name := range assign {
+		assign[name] = 0
+	}
+	if _, err := m.NewZoning(assign, m.NumTEC()+1); err == nil {
+		t.Errorf("%d zones accepted over %d TEC modules", m.NumTEC()+1, m.NumTEC())
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -104,7 +173,7 @@ func TestZeroPowerZeroLeakageGivesAmbient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Evaluate(units.RPMToRadPerSec(2000), 0)
+	res, err := solveOne(m, nil, scalarPt(units.RPMToRadPerSec(2000), 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +199,9 @@ func TestEnergyBalance(t *testing.T) {
 		{units.RPMToRadPerSec(5000), 5},
 		{units.RPMToRadPerSec(800), 1},
 	} {
-		res, err := m.Evaluate(op[0], op[1])
+		res, err := solveOne(m, nil, scalarPt(op[0], op[1]), nil)
 		if err != nil {
-			t.Fatalf("Evaluate(%v): %v", op, err)
+			t.Fatalf("Solve(%v): %v", op, err)
 		}
 		if res.Runaway {
 			t.Fatalf("unexpected runaway at %v", op)
@@ -153,7 +222,7 @@ func TestFanSpeedMonotonicity(t *testing.T) {
 	m := benchModel(t, cfg, "Dijkstra")
 	var prev float64 = math.Inf(1)
 	for _, rpm := range []float64{500, 1000, 2000, 3500, 5000} {
-		res, err := m.Evaluate(units.RPMToRadPerSec(rpm), 0)
+		res, err := solveOne(m, nil, scalarPt(units.RPMToRadPerSec(rpm), 0), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,14 +244,14 @@ func TestDynamicPowerMonotonicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	omega := units.RPMToRadPerSec(2000)
-	r10, err := m.Evaluate(omega, 0)
+	r10, err := solveOne(m, nil, scalarPt(omega, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m.SetDynamicPower(uniformMap(&cfg, 30)); err != nil {
 		t.Fatal(err)
 	}
-	r30, err := m.Evaluate(omega, 0)
+	r30, err := solveOne(m, nil, scalarPt(omega, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +267,11 @@ func TestTECCoolsHotspot(t *testing.T) {
 	cfg := testConfig()
 	m := benchModel(t, cfg, "Quicksort")
 	omega := units.RPMToRadPerSec(2500)
-	r0, err := m.Evaluate(omega, 0)
+	r0, err := solveOne(m, nil, scalarPt(omega, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := m.Evaluate(omega, 2)
+	r2, err := solveOne(m, nil, scalarPt(omega, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +285,7 @@ func TestTECCoolsHotspot(t *testing.T) {
 	// Joule-dominated regime: far past the optimum, extra current heats
 	// rather than cools (the model itself has no current clamp; the
 	// damage threshold I_TEC,max is enforced by the optimizer's bounds).
-	r8, err := m.Evaluate(omega, 8)
+	r8, err := solveOne(m, nil, scalarPt(omega, 8), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +298,7 @@ func TestThermalRunawayAtZeroFan(t *testing.T) {
 	cfg := testConfig()
 	m := benchModel(t, cfg, "Basicmath")
 	for _, i := range []float64{0, 2.5, 5} {
-		res, err := m.Evaluate(0, i)
+		res, err := solveOne(m, nil, scalarPt(0, i), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +318,7 @@ func TestExactLeakageAgreesWithLinearizedNearTref(t *testing.T) {
 	cfg := testConfig()
 	m := benchModel(t, cfg, "Basicmath")
 	omega := units.RPMToRadPerSec(2000)
-	lin, err := m.Evaluate(omega, 1)
+	lin, err := solveOne(m, nil, scalarPt(omega, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,13 +354,13 @@ func TestExactLeakageDetectsRunaway(t *testing.T) {
 func TestOperatingPointValidation(t *testing.T) {
 	cfg := testConfig()
 	m := benchModel(t, cfg, "CRC32")
-	if _, err := m.Evaluate(-1, 0); err == nil {
+	if _, err := solveOne(m, nil, scalarPt(-1, 0), nil); err == nil {
 		t.Error("negative fan speed accepted")
 	}
-	if _, err := m.Evaluate(0, -1); err == nil {
+	if _, err := solveOne(m, nil, scalarPt(0, -1), nil); err == nil {
 		t.Error("negative TEC current accepted")
 	}
-	if _, err := m.Evaluate(math.NaN(), 0); err == nil {
+	if _, err := solveOne(m, nil, scalarPt(math.NaN(), 0), nil); err == nil {
 		t.Error("NaN operating point accepted")
 	}
 }
@@ -299,7 +368,7 @@ func TestOperatingPointValidation(t *testing.T) {
 func TestPlaneTempsAndHottestUnit(t *testing.T) {
 	cfg := testConfig()
 	m := benchModel(t, cfg, "Quicksort")
-	res, err := m.Evaluate(units.RPMToRadPerSec(3000), 1)
+	res, err := solveOne(m, nil, scalarPt(units.RPMToRadPerSec(3000), 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,11 +418,11 @@ func TestResolutionRobustness(t *testing.T) {
 	omega := units.RPMToRadPerSec(2500)
 	mc := benchModel(t, coarse, "FFT")
 	mf := benchModel(t, fine, "FFT")
-	rc, err := mc.Evaluate(omega, 1.5)
+	rc, err := solveOne(mc, nil, scalarPt(omega, 1.5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf, err := mf.Evaluate(omega, 1.5)
+	rf, err := solveOne(mf, nil, scalarPt(omega, 1.5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +445,7 @@ func TestMirrorSymmetryUnderUniformPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Evaluate(units.RPMToRadPerSec(2000), 2)
+	res, err := solveOne(m, nil, scalarPt(units.RPMToRadPerSec(2000), 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +466,7 @@ func TestPeltierTermSignConvention(t *testing.T) {
 	// rejection plane above the hotspot: the TEC pumps heat upward.
 	cfg := testConfig()
 	m := benchModel(t, cfg, "Quicksort")
-	res, err := m.Evaluate(units.RPMToRadPerSec(3000), 3)
+	res, err := solveOne(m, nil, scalarPt(units.RPMToRadPerSec(3000), 3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +491,7 @@ func TestPeltierTermSignConvention(t *testing.T) {
 func TestRunawayResultString(t *testing.T) {
 	cfg := testConfig()
 	m := benchModel(t, cfg, "Basicmath")
-	res, err := m.Evaluate(0, 0)
+	res, err := solveOne(m, nil, scalarPt(0, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +515,7 @@ func TestBaselineFairnessAdjustment(t *testing.T) {
 	// plain TIM paste (the paper's justification in Section 6.1).
 	cfg := testConfig()
 	m := benchModel(t, cfg, "Quicksort")
-	passive, err := m.Evaluate(units.RPMToRadPerSec(2000), 0)
+	passive, err := solveOne(m, nil, scalarPt(units.RPMToRadPerSec(2000), 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +523,7 @@ func TestBaselineFairnessAdjustment(t *testing.T) {
 	paste := testConfig()
 	paste.TEC.ConductancePerArea = material.TIM.Conductivity / paste.TEC.Thickness
 	mp := benchModel(t, paste, "Quicksort")
-	pasteRes, err := mp.Evaluate(units.RPMToRadPerSec(2000), 0)
+	pasteRes, err := solveOne(mp, nil, scalarPt(units.RPMToRadPerSec(2000), 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,38 +98,33 @@ func (c RunawayCause) String() string {
 
 // runawayResult builds the infinite-objective result for a runaway point.
 //
-//oftec:allocok result materialization; runs once per miss, then memoized by version
-func (m *Model) runawayResult(omega, iTEC float64, stats sparse.Stats, cause RunawayCause) *Result {
+//oftec:allocok result materialization; runs once per miss, then memoized
+func (m *Model) runawayResult(omega float64, d drive, stats sparse.Stats, cause RunawayCause) *Result {
 	return &Result{
 		Omega:        omega,
-		ITEC:         iTEC,
+		ITEC:         d.max(),
 		Runaway:      true,
 		RunawayCause: cause,
 		MaxChipTemp:  math.Inf(1),
 		MaxChipCell:  -1,
 		PLeakage:     math.Inf(1),
-		PTEC:         m.tecPowerAt(nil, iTEC),
+		PTEC:         m.tecPower(nil, d),
 		PFan:         m.act.Power(omega),
 		PDynamic:     m.DynamicPowerTotal(),
 		SolveStats:   stats,
 	}
 }
 
-// tecPowerAt computes Equation (12) for a uniform driving current.
-func (m *Model) tecPowerAt(t []float64, iTEC float64) float64 {
-	return m.tecPowerFunc(t, m.uniformCurrent(iTEC))
-}
-
-// tecPowerFunc computes Equation (12): Σ over modules of R·I² + α·ΔT·I,
-// with a per-cell current. With a nil temperature vector only the Joule
-// part is returned.
-func (m *Model) tecPowerFunc(t []float64, cur func(int) float64) float64 {
+// tecPower computes Equation (12): Σ over modules of R·I² + α·ΔT·I,
+// with the per-cell current of d. With a nil temperature vector only the
+// Joule part is returned.
+func (m *Model) tecPower(t []float64, d drive) float64 {
 	var p float64
 	for i, alpha := range m.tecAlpha {
 		if alpha == 0 {
 			continue
 		}
-		iTEC := cur(i)
+		iTEC := d.at(i)
 		p += m.tecR[i] * iTEC * iTEC
 		if t != nil {
 			dT := t[m.node(planeTECHot, i)] - t[m.node(planeTECCold, i)]
@@ -141,12 +136,12 @@ func (m *Model) tecPowerFunc(t []float64, cur func(int) float64) float64 {
 
 // buildResult materializes the Result record for a converged solve.
 //
-//oftec:allocok result materialization; runs once per miss, then memoized by version
-func (m *Model) buildResult(omega, iTEC float64, t []float64, stats sparse.Stats, linearLeak bool) *Result {
+//oftec:allocok result materialization; runs once per miss, then memoized
+func (m *Model) buildResult(omega float64, d drive, t []float64, stats sparse.Stats, linearLeak bool) *Result {
 	nc := m.grids[planeChip].NumCells()
 	res := &Result{
 		Omega:       omega,
-		ITEC:        iTEC,
+		ITEC:        d.max(),
 		T:           t,
 		ChipTemps:   make([]float64, nc),
 		MaxChipCell: -1,
@@ -167,7 +162,7 @@ func (m *Model) buildResult(omega, iTEC float64, t []float64, stats sparse.Stats
 			res.PLeakage += m.leakP0[i] * math.Exp(m.leakBeta*(ti-m.leakT0))
 		}
 	}
-	res.PTEC = m.tecPowerAt(t, iTEC)
+	res.PTEC = m.tecPower(t, d)
 	return res
 }
 
@@ -184,7 +179,7 @@ func (m *Model) InstantaneousPowers(temps []float64, itec float64) (leak, tec fl
 		ti := temps[m.node(planeChip, i)]
 		leak += m.leakA[i]*(ti-m.leakTref) + m.leakB[i]
 	}
-	return leak, m.tecPowerAt(temps, itec), nil
+	return leak, m.tecPower(temps, drive{currents: []float64{itec}}), nil
 }
 
 // PlaneTemps returns the temperatures of the named plane ("chip", "tim1",

@@ -206,7 +206,7 @@ func newReducedShell(m *Model) (*ReducedModel, error) {
 	// leakage folded in, then copy the matrix values and RHS out of the
 	// pooled scratch.
 	sc := m.getScratch()
-	m.assembleInto(sc, 0, m.uniformCurrent(0), true, nil)
+	m.assembleInto(sc, 0, drive{}, true, nil)
 	a0vals := make([]float64, len(sc.vals))
 	copy(a0vals, sc.vals)
 	r.b0 = make([]float64, m.n)
@@ -249,7 +249,7 @@ func buildReducedModel(m *Model, opts ROMOptions, omegaMax, iMax float64) (*Redu
 	// speeds sit in the runaway wall (Figure 6's dark-red region); runaway
 	// snapshots carry no field and are skipped, and the smallest surviving
 	// ω becomes the ROM's floor.
-	var pts []BatchPoint
+	var pts []Point
 	for io := 0; io < opts.SnapshotOmegas; io++ {
 		omega := omegaMax * float64(io+1) / float64(opts.SnapshotOmegas)
 		for ic := 0; ic < opts.SnapshotCurrents; ic++ {
@@ -257,10 +257,10 @@ func buildReducedModel(m *Model, opts ROMOptions, omegaMax, iMax float64) (*Redu
 			if opts.SnapshotCurrents > 1 {
 				itec = iMax * float64(ic) / float64(opts.SnapshotCurrents-1)
 			}
-			pts = append(pts, BatchPoint{Omega: omega, ITEC: itec})
+			pts = append(pts, Point{Omega: omega, Currents: []float64{itec}})
 		}
 	}
-	snapRes, err := m.EvaluateBatch(context.Background(), pts, nil)
+	snapRes, err := m.Solve(context.Background(), nil, pts, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: ROM snapshot sweep: %w", err)
 	}
@@ -310,7 +310,7 @@ func (r *ReducedModel) dynSensitivity(omega float64) ([]float64, error) {
 	m := r.m
 	sc := m.getScratch()
 	defer m.putScratch(sc)
-	m.assembleInto(sc, omega, m.uniformCurrent(0), true, nil)
+	m.assembleInto(sc, omega, drive{}, true, nil)
 	rhs := make([]float64, m.n)
 	for i, p := range m.dyn {
 		rhs[m.node(planeChip, i)] = p
@@ -406,16 +406,16 @@ func (r *ReducedModel) project() {
 // full reference solves go through the batched evaluator — one assembly
 // and factorization per validation ω.
 func (r *ReducedModel) calibrate(opts ROMOptions, omegaMax, iMax float64) error {
-	var pts []BatchPoint
+	var pts []Point
 	for io := 0; io < opts.ValidateOmegas; io++ {
 		// Midpoint offset relative to the snapshot ω grid.
 		omega := r.omegaFloor + (omegaMax-r.omegaFloor)*(float64(io)+0.5)/float64(opts.ValidateOmegas)
 		for ic := 0; ic < opts.ValidateCurrents; ic++ {
 			itec := iMax * (float64(ic) + 0.5) / float64(opts.ValidateCurrents)
-			pts = append(pts, BatchPoint{Omega: omega, ITEC: itec})
+			pts = append(pts, Point{Omega: omega, Currents: []float64{itec}})
 		}
 	}
-	fulls, err := r.m.EvaluateBatch(context.Background(), pts, nil)
+	fulls, err := r.m.Solve(context.Background(), nil, pts, nil, nil)
 	if err != nil {
 		return fmt.Errorf("thermal: ROM validation sweep: %w", err)
 	}
@@ -425,7 +425,7 @@ func (r *ReducedModel) calibrate(opts ROMOptions, omegaMax, iMax float64) error 
 		if full.Runaway {
 			continue
 		}
-		t, resNorm, ok := r.reducedSolve(pts[k].Omega, pts[k].ITEC)
+		t, resNorm, ok := r.reducedSolve(pts[k].Omega, pts[k].Currents[0])
 		if !ok {
 			continue
 		}
@@ -486,7 +486,7 @@ func (r *ReducedModel) ensureDyn() {
 		return
 	}
 	sc := r.m.getScratch()
-	r.m.assembleInto(sc, 0, r.m.uniformCurrent(0), true, nil)
+	r.m.assembleInto(sc, 0, drive{}, true, nil)
 	copy(r.b0, sc.rhs)
 	r.m.putScratch(sc)
 	for i := 0; i < r.rank; i++ {
@@ -578,5 +578,5 @@ func (r *ReducedModel) Evaluate(omega, itec float64) (*Result, bool, error) {
 		r.rejections.Add(1)
 		return nil, false, nil
 	}
-	return r.m.buildResult(omega, itec, t, sparse.Stats{}, true), true, nil
+	return r.m.buildResult(omega, drive{currents: []float64{itec}}, t, sparse.Stats{}, true), true, nil
 }

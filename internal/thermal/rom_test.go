@@ -48,7 +48,7 @@ func TestROMWithinAdvertisedBound(t *testing.T) {
 				continue
 			}
 			accepted++
-			full, err := m.Evaluate(omega, itec)
+			full, err := solveOne(m, nil, scalarPt(omega, itec), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestROMWithinAdvertisedBound(t *testing.T) {
 func TestROMRunawayRejects(t *testing.T) {
 	m, rm := buildROM(t, "Quicksort")
 	omega := rm.OmegaFloor() / 50
-	full, err := m.Evaluate(omega, 0)
+	full, err := solveOne(m, nil, scalarPt(omega, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestROMTracksDynamicPower(t *testing.T) {
 	if after.MaxChipTemp >= before.MaxChipTemp {
 		t.Errorf("cooler workload did not lower MaxChipTemp: %g → %g", before.MaxChipTemp, after.MaxChipTemp)
 	}
-	full, err := m.Evaluate(omega, itec)
+	full, err := solveOne(m, nil, scalarPt(omega, itec), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

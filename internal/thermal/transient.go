@@ -110,8 +110,8 @@ func (tr *Transient) ChipState() (maxTemp float64, temps []float64) {
 // solve and returns the maximum chip temperature after the step. The
 // backward-Euler system is the steady-state matrix plus C/Δt on the
 // diagonal, assembled through the shared symbolic pattern (the shift is
-// diagonal, so the pattern is unchanged) and versioned on (ω, I, Δt): a
-// fixed-step integration reuses one IC(0) factorization across all steps.
+// diagonal, so the pattern is unchanged) and factor-cached on (ω, I, Δt):
+// a fixed-step integration reuses one IC(0) factorization across all steps.
 func (tr *Transient) Step(dt float64) (float64, error) {
 	if dt <= 0 || math.IsNaN(dt) || math.IsInf(dt, 0) {
 		return 0, fmt.Errorf("thermal: step size %g must be positive and finite", dt)
@@ -119,14 +119,20 @@ func (tr *Transient) Step(dt float64) (float64, error) {
 	m := tr.model
 	sc := m.getScratch()
 	defer m.putScratch(sc)
-	m.assembleInto(sc, tr.omega, m.uniformCurrent(tr.itec), true, nil)
+	m.assembleInto(sc, tr.omega, drive{currents: []float64{tr.itec}}, true, nil)
 	for i, c := range tr.caps {
 		cdt := c / dt
 		sc.vals[m.diagIdx[i]] += cdt
 		sc.rhs[i] += cdt * tr.temps[i]
 	}
-	sc.mat.SetVersion(m.versionFor(verKey{omega: tr.omega, itec: tr.itec, dt: dt, linear: true}))
-	next, _, err := m.solveScratchOwn(sc, tr.temps)
+	// The C/Δt patch on every row moves this matrix far from the ω-slice's
+	// canonical one, so the step factorizes (and caches) its own.
+	opts := sparse.SolveOptions{Tol: 1e-9, MaxIter: 20 * m.n, X0: tr.temps, Work: &sc.ws}
+	key := opKey{omega: tr.omega, itec: tr.itec, dt: dt, linear: true}
+	if ic, ok := m.factors.IC(key, func() (*sparse.ICPreconditioner, error) { return sparse.NewICPreconditioner(sc.mat) }); ok {
+		opts.Precond = ic
+	}
+	next, _, err := sparse.SolveAuto(sc.mat, sc.rhs, opts)
 	if err != nil {
 		return 0, fmt.Errorf("thermal: transient solve failed at t=%g: %w", tr.now, err)
 	}
@@ -140,10 +146,8 @@ func (tr *Transient) Step(dt float64) (float64, error) {
 // transient field and the steady state at the current operating point;
 // useful for asserting convergence in tests.
 func (tr *Transient) SteadyStateGap() (float64, error) {
-	res, err := tr.model.Evaluate(tr.omega, tr.itec)
-	if err != nil {
-		return 0, err
-	}
+	// The operating point was validated when it was set.
+	res := tr.model.solvePoint(nil, Point{Omega: tr.omega, Currents: []float64{tr.itec}}, nil)
 	if res.Runaway {
 		return math.Inf(1), nil
 	}

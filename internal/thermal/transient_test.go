@@ -85,7 +85,7 @@ func TestPeltierBoostActsImmediately(t *testing.T) {
 	cfg := testConfig()
 	m := benchModel(t, cfg, "Quicksort")
 	omega := units.RPMToRadPerSec(2500)
-	ss, err := m.Evaluate(omega, 1)
+	ss, err := solveOne(m, nil, scalarPt(omega, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestTransientEnergyRamp(t *testing.T) {
 	if t2 < t1-1e-6 {
 		t.Errorf("temperature oscillated with large steps: %g then %g", t1, t2)
 	}
-	ss, err := m.Evaluate(units.RPMToRadPerSec(3000), 0.5)
+	ss, err := solveOne(m, nil, scalarPt(units.RPMToRadPerSec(3000), 0.5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,6 @@
 package thermal
 
-import (
-	"fmt"
-	"math"
-
-	"oftec/internal/sparse"
-)
+import "fmt"
 
 // Zoning partitions the TEC deployment into independently driven control
 // zones — the natural generalization of the paper's single series string
@@ -28,8 +23,11 @@ func (z *Zoning) NumZones() int { return z.numZones }
 // zone used by at least one TEC-covered cell. Cells are assigned to the
 // zone of the unit covering their center.
 func (m *Model) NewZoning(assign map[string]int, numZones int) (*Zoning, error) {
-	if numZones <= 0 {
-		return nil, fmt.Errorf("thermal: zone count %d must be positive", numZones)
+	// Every zone needs a TEC module of its own, so more zones than
+	// covered cells can never validate; refusing them here keeps an
+	// untrusted zone count from sizing the allocations below.
+	if numZones <= 0 || numZones > m.numTEC {
+		return nil, fmt.Errorf("thermal: zone count %d outside [1, %d] (one TEC-covered cell per zone at least)", numZones, m.numTEC)
 	}
 	fp := m.cfg.Floorplan
 	for _, u := range fp.Units() {
@@ -105,64 +103,4 @@ func (m *Model) SpreadZoning(k int) (*Zoning, error) {
 		return nil, fmt.Errorf("thermal: only %d units own TEC-covered cells, cannot build %d zones", next, k)
 	}
 	return m.NewZoning(assign, k)
-}
-
-// EvaluateZoned computes the steady state with one driving current per
-// zone (linearized leakage, like Evaluate). The result's ITEC field holds
-// the maximum zone current; per-zone accounting is in the returned value's
-// PTEC as usual.
-func (m *Model) EvaluateZoned(omega float64, z *Zoning, currents []float64) (*Result, error) {
-	return m.EvaluateZonedWarm(omega, z, currents, nil)
-}
-
-// EvaluateZonedWarm is EvaluateZoned with a warm-start hint for the
-// iterative solver (same contract as EvaluateWarm: the hint steers the
-// solver, never the answer). A single-zone zoning drives every TEC with
-// one current, which is exactly the scalar operating point, so k=1 is
-// delegated to the versioned, memoized scalar path — the zoned and scalar
-// evaluations of the same point return the identical result.
-func (m *Model) EvaluateZonedWarm(omega float64, z *Zoning, currents []float64, warm []float64) (*Result, error) {
-	if z == nil {
-		return nil, fmt.Errorf("thermal: nil zoning")
-	}
-	if len(currents) != z.numZones {
-		return nil, fmt.Errorf("thermal: %d currents for %d zones", len(currents), z.numZones)
-	}
-	maxCur := 0.0
-	for zone, c := range currents {
-		if c < 0 || math.IsNaN(c) {
-			return nil, fmt.Errorf("thermal: zone %d current %g must be non-negative", zone, c)
-		}
-		maxCur = math.Max(maxCur, c)
-	}
-	if err := m.checkOperatingPoint(omega, maxCur); err != nil {
-		return nil, err
-	}
-	if z.numZones == 1 {
-		return m.EvaluateWarm(omega, currents[0], warm)
-	}
-
-	cur := func(cell int) float64 { return currents[z.zoneOf[cell]] }
-	sc := m.getScratch()
-	defer m.putScratch(sc)
-	// Zoned current patterns are left unversioned: the factor cache keys on
-	// scalar operating points only, and a wrong reuse would be silent.
-	m.assembleInto(sc, omega, cur, true, nil)
-	if len(warm) == m.n {
-		copy(sc.warm, warm)
-	} else {
-		sparse.Fill(sc.warm, m.cfg.Ambient)
-	}
-	t, stats, err := m.solveScratch(sc, omega, sc.warm)
-	return m.zonedSteadyState(omega, maxCur, t, stats, err, cur), nil
-}
-
-// zonedSteadyState is steadyState for a zoned solve: the result echoes
-// the maximum zone current, and P_TEC sums the per-zone currents cur.
-func (m *Model) zonedSteadyState(omega, maxCur float64, t []float64, stats sparse.Stats, err error, cur func(int) float64) *Result {
-	res := m.steadyState(omega, maxCur, t, stats, err)
-	if !res.Runaway {
-		res.PTEC = m.tecPowerFunc(t, cur)
-	}
-	return res
 }

@@ -3,7 +3,7 @@
 #
 #   build → go vet → oftecvet (project static analysis) → concurrency
 #   tests with -race → batched-equivalence tests with -race → full tests
-#   with -race → oftecd smoke (live daemon, every endpoint, clean SIGTERM
+#   with -race → shuffled repeat of the full tests → oftecd smoke (live daemon, every endpoint, clean SIGTERM
 #   shutdown) → parallel-sweep bench smoke
 #
 # Run from anywhere inside the module; exits nonzero on the first failure.
@@ -64,11 +64,12 @@ go test -race -run 'Conformance|Fallback|Cancel|Trace|Stop|FaultWrapper|EvalAcco
 # negative-curvature certificate on the IC-PCG and Jacobi-CG paths and
 # on the TEC-only runaway row, the adjoint-vs-central-difference
 # agreement suite (scalar and zoned), the smoothed-max bracket, the
-# backend capability chain, and the core gradient-mode runs — the
+# memoized steady state SolveGrad differentiates, the backend capability
+# chain, and the core gradient-mode runs — the
 # contract that keeps Options.Gradient's derivatives exact and runaway
 # certified.
 echo "== go test -race (adjoint gradients vs finite differences, SPD certificate)"
-go test -race -run 'Adjoint|SmoothMax|Gradient|SolveAuto|RunawayCertificate' \
+go test -race -run 'Adjoint|SmoothMax|Gradient|SolveGrad|SolveAuto|RunawayCertificate' \
 	./internal/sparse/... ./internal/thermal/... ./internal/backend/... ./internal/core/...
 
 # The backend-conformance gate by name: the k=1 zoned/scalar agreement
@@ -82,13 +83,14 @@ go test -race \
 	./internal/core/... ./internal/backend/... ./internal/evalcache/... ./internal/thermal/... ./internal/lint/...
 
 # The batched-equivalence gate by name: blocked multi-RHS CG against the
-# scalar solver bitwise, EvaluateBatch against per-point DeepEqual
-# (scalar, zoned, mid-batch cancellation, dynamic-power flush spans),
-# the backend BatchEvaluator conformance contract, ROM basis persistence
-# round-trips, and the /statz counters — the set that keeps the batch
-# path interchangeable with the per-point path.
+# scalar solver bitwise, multi-point Solve against per-point DeepEqual
+# (scalar, zoned, mid-batch cancellation, dynamic-power flush spans), the
+# zoned warm-start validation, the backend BatchEvaluator conformance
+# contract, ROM basis persistence round-trips, and the /statz counters —
+# the set that keeps the batch path interchangeable with the per-point
+# path.
 echo "== go test -race (batched equivalence + basis persistence)"
-go test -race -run 'Batch|ROMPersist|Statz|DisableBatch|ROMCacheDir' \
+go test -race -run 'Batch|ZonedWarm|ROMPersist|Statz|ROMCacheDir' \
 	./internal/sparse/... ./internal/thermal/... ./internal/backend/... \
 	./internal/core/... ./internal/serve/...
 
@@ -107,6 +109,14 @@ go test -race \
 
 echo "== go test -race ./..."
 go test -race ./...
+
+# Order independence: every package's tests three times over in a
+# shuffled order, so a test that leans on state an earlier one left
+# behind (a memo, a package-level cache directory, a registry entry)
+# fails here instead of flaking later. A failing package prints its
+# -test.shuffle seed, which reproduces the order.
+echo "== go test -count=3 -shuffle=on ./..."
+go test -count=3 -shuffle=on ./...
 
 # The oftecd smoke gate: a real daemon on an ephemeral port, one request
 # against every endpoint (including a streamed optimize), then SIGTERM —
@@ -143,7 +153,7 @@ curl -sf -X POST "http://$smokeaddr/v1/pareto" \
 curl -sf "http://$smokeaddr/stats" | jq -e '.cache.misses > 0' >/dev/null
 # The sweep above went through the blocked multi-RHS path; /statz must
 # show the batch traffic.
-curl -sf "http://$smokeaddr/statz" | jq -e '.batch.enabled and .batch.batches > 0' >/dev/null
+curl -sf "http://$smokeaddr/statz" | jq -e '.batch.batches > 0' >/dev/null
 kill -TERM "$smokepid"
 if ! wait "$smokepid"; then
 	echo "check.sh: oftecd did not exit cleanly on SIGTERM" >&2
