@@ -9,8 +9,7 @@
 //	POST /v1/sweep     𝒯/𝒫 surface samples on an ω×I grid
 //	POST /v1/pareto    power/temperature trade-off over thresholds
 //	GET  /healthz      liveness (exempt from admission control)
-//	GET  /stats        pool, cache, and traffic counters (exempt)
-//	GET  /statz        /stats plus live batched-evaluation counters (exempt)
+//	GET  /stats        pool, cache, batched-evaluation, and traffic counters (exempt)
 //
 // The daemon shuts down cleanly on SIGTERM/SIGINT: the listener closes,
 // in-flight requests get a grace period, and the final cache statistics

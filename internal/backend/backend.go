@@ -5,7 +5,7 @@
 //
 // Consumers program against the Evaluator contract (and the optional
 // capability interfaces below) instead of the concrete *thermal.Model;
-// the backendleak analyzer in cmd/oftecvet enforces the seam. Concrete
+// the seam analyzer in cmd/oftecvet enforces the seam. Concrete
 // backends register themselves by name (see registry.go): "full" is the
 // exact sparse steady-state solve, "rom" is the reduced-order fast path
 // with automatic fall-through to full.

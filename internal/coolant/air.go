@@ -4,7 +4,7 @@ import "oftec/internal/fan"
 
 // FanSpec and HeatSinkSpec alias the fan package's parameter structs so
 // configuration types outside the coolant seam can carry the air-cooling
-// calibration without referencing internal/fan directly (the fanleak lint
+// calibration without referencing internal/fan directly (the seam lint
 // rule). The aliases marshal to the exact JSON the pre-seam configuration
 // produced, so saved configs, serve-pool hashes, and ROM identities are
 // unchanged.

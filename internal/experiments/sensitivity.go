@@ -176,7 +176,7 @@ func CoverageStudy(s Setup, benchName string) ([]CoverageRow, error) {
 		if m, ok := backend.ModelOf(ev); ok {
 			// Module counting is model-only reporting with no backend
 			// equivalent; the deployment study is about the model itself.
-			//lint:ignore backendleak deployment reporting reads the model's TEC count
+			//lint:ignore seam deployment reporting reads the model's TEC count
 			numTEC = m.NumTEC()
 		}
 		row := CoverageRow{Name: d.name, NumTEC: numTEC, Feasible: out.Feasible,

@@ -3,10 +3,11 @@
 // go/importer). It exists because this reproduction's correctness rests on
 // invariants the Go compiler cannot check: all physics is carried in SI
 // units, float comparisons must go through the internal/units tolerances,
-// solver errors must never be silently dropped, the mutex-guarded
-// evaluation caches must not be copied, hot paths annotated
-// //oftec:hotpath must not allocate, and lock acquisition must stay
-// cycle-free and balanced on every control-flow path.
+// solver errors must never be silently dropped, consumers must stay behind
+// the coolant and backend seams, hot paths annotated //oftec:hotpath must
+// not allocate, and lock acquisition must stay cycle-free and balanced on
+// every control-flow path. Copying a mutex-guarded struct is go vet's
+// copylocks check, not this package's.
 //
 // The framework deliberately mirrors the shape of golang.org/x/tools'
 // analysis API (Analyzer, Pass, Diagnostic) without importing it, so the
@@ -28,16 +29,12 @@
 package lint
 
 import (
-	"context"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
 	"strings"
-	"time"
-
-	"oftec/internal/parallel"
 )
 
 // Diagnostic is a single finding, printed as "file:line:col: [name] msg".
@@ -107,8 +104,8 @@ func (p *Pass) Callee(call *ast.CallExpr) *types.Func {
 	return staticCallee(p.Pkg.Info, call)
 }
 
-// ModulePass carries the whole deduplicated package set through one
-// module-level analyzer, with lazily built shared facilities.
+// ModulePass carries the whole package set through the module-level
+// analyzers, with lazily built facilities they share.
 type ModulePass struct {
 	Analyzer *Analyzer
 	Pkgs     []*Package
@@ -137,7 +134,7 @@ func (p *ModulePass) Graph() *CallGraph {
 }
 
 // CFGOf returns the control-flow graph of a declaration's body, memoized
-// across analyzers sharing this pass's underlying run.
+// across the module-level analyzers of one run.
 func (p *ModulePass) CFGOf(fd *ast.FuncDecl) *CFG {
 	if g, ok := p.cfgs[fd]; ok {
 		return g
@@ -145,14 +142,6 @@ func (p *ModulePass) CFGOf(fd *ast.FuncDecl) *CFG {
 	g := BuildCFG(fd.Body)
 	p.cfgs[fd] = g
 	return g
-}
-
-// Timing is one analyzer's aggregate cost over a Run, for the driver's
-// -stats output and the bench trajectory.
-type Timing struct {
-	Analyzer string
-	Duration time.Duration
-	Findings int
 }
 
 // ignoreDirective is one parsed //lint:ignore comment.
@@ -228,104 +217,30 @@ type ignoreRange struct {
 
 // Run executes every analyzer over every package, applies the ignore
 // directives, and returns the surviving diagnostics sorted by position.
-// Packages are analyzed in parallel (one worker per CPU).
+// Per-package analyzers run package by package; module-level analyzers
+// then run once over the whole set, sharing one lazily built call graph
+// and CFG memo.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunTimed(pkgs, analyzers, 0)
-	return diags
-}
-
-// RunTimed is Run with an explicit worker count for the package-parallel
-// phase (0 selects GOMAXPROCS, 1 forces serial) and per-analyzer timing
-// stats. Output is deterministic regardless of workers: diagnostics are
-// collected per package index and sorted at the end.
-func RunTimed(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Diagnostic, []Timing) {
-	// Dedupe packages the loader (or a driver combining loaders) handed
-	// in twice: analyzing the same import path again can only duplicate
-	// every diagnostic.
-	seen := map[string]bool{}
-	uniq := pkgs[:0:0]
-	for _, p := range pkgs {
-		if seen[p.Path] {
-			continue
-		}
-		seen[p.Path] = true
-		uniq = append(uniq, p)
-	}
-	pkgs = uniq
-
-	var perPkg, module []*Analyzer
-	for _, a := range analyzers {
-		if a.RunModule != nil {
-			module = append(module, a)
-		} else {
-			perPkg = append(perPkg, a)
-		}
-	}
-
-	timings := make([]Timing, len(analyzers))
-	for i, a := range analyzers {
-		timings[i].Analyzer = a.Name
-	}
-	timingIdx := map[string]int{}
-	for i, a := range analyzers {
-		timingIdx[a.Name] = i
-	}
-
-	// Per-package passes fan out over the package axis; each (package,
-	// analyzer) pair owns a private diagnostic slice, so the only shared
-	// write is the timing accumulation below.
-	type cell struct {
-		diags []Diagnostic
-		cost  []time.Duration
-	}
-	cells := make([]cell, len(pkgs))
-	// Analysis is pure CPU over immutable type-checked packages; ForEach
-	// with a background context cannot be cancelled, and the per-index
-	// error below is always nil.
-	//lint:ignore errdrop uncancellable pure-CPU fanout whose cells never return an error
-	_ = parallel.ForEach(context.Background(), len(pkgs), workers, func(i int) error {
-		c := &cells[i]
-		c.cost = make([]time.Duration, len(perPkg))
-		for j, a := range perPkg {
-			start := time.Now()
-			pass := &Pass{Analyzer: a, Pkg: pkgs[i]}
-			a.Run(pass)
-			c.cost[j] = time.Since(start)
-			c.diags = append(c.diags, pass.diags...)
-		}
-		return nil
-	})
-
 	var diags []Diagnostic
-	for i := range cells {
-		diags = append(diags, cells[i].diags...)
-		for j, a := range perPkg {
-			timings[timingIdx[a.Name]].Duration += cells[i].cost[j]
+	for _, pkg := range pkgs {
+		for _, a := range analyzers {
+			if a.Run == nil {
+				continue
+			}
+			pass := &Pass{Analyzer: a, Pkg: pkg}
+			a.Run(pass)
+			diags = append(diags, pass.diags...)
 		}
 	}
-
-	// Module-level passes run once over the deduplicated set, sharing one
-	// lazily built call graph and CFG memo.
-	if len(module) > 0 && len(pkgs) > 0 {
-		shared := &ModulePass{
-			Pkgs: pkgs,
-			fset: pkgs[0].Fset,
-			cfgs: map[*ast.FuncDecl]*CFG{},
-		}
-		for _, a := range module {
-			start := time.Now()
-			mp := &ModulePass{
-				Analyzer: a,
-				Pkgs:     shared.Pkgs,
-				fset:     shared.fset,
-				graph:    shared.graph,
-				cfgs:     shared.cfgs,
+	if len(pkgs) > 0 {
+		mp := &ModulePass{Pkgs: pkgs, fset: pkgs[0].Fset, cfgs: map[*ast.FuncDecl]*CFG{}}
+		for _, a := range analyzers {
+			if a.RunModule != nil {
+				mp.Analyzer = a
+				a.RunModule(mp)
 			}
-			a.RunModule(mp)
-			shared.graph = mp.graph // keep a lazily built graph for the next analyzer
-			timings[timingIdx[a.Name]].Duration += time.Since(start)
-			diags = append(diags, mp.diags...)
 		}
+		diags = append(diags, mp.diags...)
 	}
 
 	// Collect directives and resolve each to its suppression interval.
@@ -400,9 +315,9 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Diagnostic
 		}
 		return a.Message < b.Message
 	})
-	// Dedupe identical findings (same position, analyzer, and message) —
-	// a module analyzer revisiting a shared declaration, or overlapping
-	// loader inputs, must not double-report.
+	// Dedupe identical findings (same position, analyzer, and message): a
+	// module analyzer revisiting a shared declaration must not
+	// double-report.
 	out := kept[:0]
 	for i, d := range kept {
 		if i > 0 && d == kept[i-1] {
@@ -410,15 +325,7 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Diagnostic
 		}
 		out = append(out, d)
 	}
-	for i := range timings {
-		name := timings[i].Analyzer
-		for _, d := range out {
-			if d.Analyzer == name {
-				timings[i].Findings++
-			}
-		}
-	}
-	return out, timings
+	return out
 }
 
 // All returns the full analyzer suite in stable order.
@@ -426,45 +333,12 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		FloatCmpAnalyzer,
 		ErrDropAnalyzer,
-		MutexCopyAnalyzer,
 		UnitSuffixAnalyzer,
 		NonFiniteAnalyzer,
 		CtxLeakAnalyzer,
-		BackendLeakAnalyzer,
-		FanLeakAnalyzer,
+		SeamAnalyzer,
 		HotAllocAnalyzer,
 		LockOrderAnalyzer,
 		GoroLeakAnalyzer,
 	}
-}
-
-// ByName returns the named analyzers in the order given. Each entry may
-// itself be a comma-separated list ("hotalloc,lockorder"), so drivers can
-// accept both repeated flags and one packed flag; duplicates collapse to
-// their first occurrence.
-func ByName(names []string) ([]*Analyzer, error) {
-	index := map[string]*Analyzer{}
-	for _, a := range All() {
-		index[a.Name] = a
-	}
-	var out []*Analyzer
-	picked := map[string]bool{}
-	for _, entry := range names {
-		for _, n := range strings.Split(entry, ",") {
-			n = strings.TrimSpace(n)
-			if n == "" {
-				continue
-			}
-			a, ok := index[n]
-			if !ok {
-				return nil, fmt.Errorf("lint: unknown analyzer %q", n)
-			}
-			if picked[n] {
-				continue
-			}
-			picked[n] = true
-			out = append(out, a)
-		}
-	}
-	return out, nil
 }

@@ -20,7 +20,6 @@ var fixtureCases = []struct {
 }{
 	{"floatcmp", "fixture/floatcmp", []string{"floatcmp"}},
 	{"errdrop", "fixture/errdrop", []string{"errdrop"}},
-	{"mutexcopy", "fixture/mutexcopy", []string{"mutexcopy"}},
 	{"unitsuffix", "fixture/unitsuffix", []string{"unitsuffix"}},
 	// nonfinite only analyzes the numeric-kernel packages, so the fixture
 	// is loaded as if it were internal/solver.
@@ -35,6 +34,25 @@ var fixtureCases = []struct {
 	{"ignoremulti", "fixture/ignoremulti", []string{"floatcmp", "errdrop"}},
 }
 
+// analyzersNamed picks analyzers out of All() by name, in the order given.
+func analyzersNamed(t *testing.T, names ...string) []*Analyzer {
+	t.Helper()
+	var out []*Analyzer
+	for _, n := range names {
+		found := false
+		for _, a := range All() {
+			if a.Name == n {
+				out = append(out, a)
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("no analyzer named %q", n)
+		}
+	}
+	return out
+}
+
 // runFixture loads a fixture package and returns its diagnostics rendered
 // with paths relative to the fixture directory.
 func runFixture(t *testing.T, name, importPath string, analyzerNames []string) []string {
@@ -44,12 +62,8 @@ func runFixture(t *testing.T, name, importPath string, analyzerNames []string) [
 	if err != nil {
 		t.Fatalf("LoadDir(%s): %v", dir, err)
 	}
-	analyzers, err := ByName(analyzerNames)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var lines []string
-	for _, d := range Run([]*Package{pkg}, analyzers) {
+	for _, d := range Run([]*Package{pkg}, analyzersNamed(t, analyzerNames...)) {
 		d.Pos.Filename = filepath.Base(d.Pos.Filename)
 		lines = append(lines, d.String())
 	}
@@ -103,36 +117,12 @@ func TestPathExemptions(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	as, err := ByName([]string{"errdrop", "floatcmp"})
-	if err != nil || len(as) != 2 || as[0].Name != "errdrop" || as[1].Name != "floatcmp" {
-		t.Errorf("ByName = %v, %v", as, err)
-	}
-	if _, err := ByName([]string{"nope"}); err == nil {
-		t.Error("ByName(nope) should fail")
-	}
-
-	// One entry may pack a comma-separated list, matching the directive
-	// grammar; order is preserved and duplicates collapse.
-	as, err = ByName([]string{"hotalloc,lockorder", "goroleak"})
-	if err != nil || len(as) != 3 || as[0].Name != "hotalloc" || as[1].Name != "lockorder" || as[2].Name != "goroleak" {
-		t.Errorf("ByName(packed) = %v, %v", as, err)
-	}
-	as, err = ByName([]string{"errdrop, floatcmp ,errdrop", "floatcmp"})
-	if err != nil || len(as) != 2 || as[0].Name != "errdrop" || as[1].Name != "floatcmp" {
-		t.Errorf("ByName(dedupe) = %v, %v", as, err)
-	}
-	if _, err := ByName([]string{"errdrop,nope"}); err == nil {
-		t.Error("ByName(errdrop,nope) should fail on the unknown entry")
-	}
-	if as, err := ByName([]string{",,"}); err != nil || len(as) != 0 {
-		t.Errorf("ByName(empty entries) = %v, %v; want empty, nil", as, err)
-	}
-}
-
 func TestAllHaveDocs(t *testing.T) {
+	want := []string{"floatcmp", "errdrop", "unitsuffix", "nonfinite", "ctxleak", "seam", "hotalloc", "lockorder", "goroleak"}
+	var names []string
 	seen := map[string]bool{}
 	for _, a := range All() {
+		names = append(names, a.Name)
 		if a.Name == "" || a.Doc == "" {
 			t.Errorf("analyzer %+v incomplete", a)
 		}
@@ -145,108 +135,79 @@ func TestAllHaveDocs(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) != 11 {
-		t.Errorf("expected the 11 analyzers of the suite, got %d", len(seen))
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Errorf("All() = %v, want %v", names, want)
 	}
 }
 
-// TestBackendLeakGolden exercises the backendleak analyzer against its
-// fixture, which is a miniature module (own go.mod, fake internal/thermal
-// and internal/backend packages) rather than a single directory: the
-// analyzer keys on cross-package type identity, so the fixture needs the
-// Model type defined in a package whose import path ends in
-// internal/thermal and referenced from one ending in internal/core.
-func TestBackendLeakGolden(t *testing.T) {
-	root := filepath.Join("testdata", "src", "backendleak")
-	pkgs, err := LoadModule(root)
-	if err != nil {
-		t.Fatalf("LoadModule(%s): %v", root, err)
+// TestSeamGolden runs the seam analyzer — both rules at once — over each
+// seam's fixture module. The fixtures are miniature modules (own go.mod)
+// rather than single directories because the rules key on cross-package
+// type identity: the guarded types live in a package whose import path
+// ends in internal/fan or internal/thermal and are referenced from a
+// consumer package. Each fixture must produce findings for its own seam
+// only, all inside its consumer package; the exempt or unscoped fixture
+// packages reference the guarded types throughout and must contribute
+// nothing.
+func TestSeamGolden(t *testing.T) {
+	cases := []struct {
+		name     string // directory under testdata/src/seam; golden seam_<name>
+		consumer string // the only package allowed to produce findings
+		via      string // the interface every finding must point to
+	}{
+		// A fake internal/fan, the exempt internal/coolant seam with its
+		// FanSpec/HeatSinkSpec aliases, and an internal/controller
+		// consumer holding every leak shape: type references, signatures,
+		// a method call smuggled through an alias value, the sanctioned
+		// //lint:ignore escape, and the legal alias-carrying crossings.
+		{"coolant", "internal/controller/", "coolant.Actuator"},
+		// Fake internal/thermal and internal/backend packages, and an
+		// internal/core consumer holding a stored model, a signature, a
+		// model smuggled through backend.ModelOf, the sanctioned escape,
+		// and the data types that cross freely.
+		{"backend", "internal/core/", "backend.Evaluator"},
 	}
-	analyzers, err := ByName([]string{"backendleak"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lines []string
-	for _, d := range Run(pkgs, analyzers) {
-		if rel, err := filepath.Rel(root, d.Pos.Filename); err == nil {
-			d.Pos.Filename = filepath.ToSlash(rel)
-		}
-		lines = append(lines, d.String())
-	}
-	got := strings.Join(lines, "\n") + "\n"
-	goldenPath := filepath.Join("testdata", "backendleak.golden")
-	if *update {
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden file (run go test ./internal/lint -update): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("diagnostics mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-	if strings.TrimSpace(got) == "" {
-		t.Error("fixture produced no diagnostics; positives are missing")
-	}
-	// The unscoped fixture packages (thermal, backend) reference Model
-	// throughout and must contribute nothing.
-	for _, l := range lines {
-		if !strings.HasPrefix(l, "internal/core/") {
-			t.Errorf("diagnostic outside the scoped package: %s", l)
-		}
-	}
-}
-
-// TestFanLeakGolden exercises the fanleak analyzer against its fixture
-// module: a fake internal/fan, the exempt internal/coolant seam with its
-// FanSpec/HeatSinkSpec aliases, and a scoped internal/controller consumer
-// holding every leak shape — type references, signatures, a method call
-// smuggled through an alias value, the sanctioned //lint:ignore escape,
-// and the legal alias-carrying crossings.
-func TestFanLeakGolden(t *testing.T) {
-	root := filepath.Join("testdata", "src", "fanleak")
-	pkgs, err := LoadModule(root)
-	if err != nil {
-		t.Fatalf("LoadModule(%s): %v", root, err)
-	}
-	analyzers, err := ByName([]string{"fanleak"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lines []string
-	for _, d := range Run(pkgs, analyzers) {
-		if rel, err := filepath.Rel(root, d.Pos.Filename); err == nil {
-			d.Pos.Filename = filepath.ToSlash(rel)
-		}
-		lines = append(lines, d.String())
-	}
-	got := strings.Join(lines, "\n") + "\n"
-	goldenPath := filepath.Join("testdata", "fanleak.golden")
-	if *update {
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden file (run go test ./internal/lint -update): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("diagnostics mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-	if strings.TrimSpace(got) == "" {
-		t.Error("fixture produced no diagnostics; positives are missing")
-	}
-	// The exempt fixture packages (fan, coolant) reference the fan types
-	// throughout and must contribute nothing.
-	for _, l := range lines {
-		if !strings.HasPrefix(l, "internal/controller/") {
-			t.Errorf("diagnostic outside the scoped package: %s", l)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			root := filepath.Join("testdata", "src", "seam", tc.name)
+			pkgs, err := LoadModule(root)
+			if err != nil {
+				t.Fatalf("LoadModule(%s): %v", root, err)
+			}
+			var lines []string
+			for _, d := range Run(pkgs, analyzersNamed(t, "seam")) {
+				if rel, err := filepath.Rel(root, d.Pos.Filename); err == nil {
+					d.Pos.Filename = filepath.ToSlash(rel)
+				}
+				lines = append(lines, d.String())
+			}
+			got := strings.Join(lines, "\n") + "\n"
+			goldenPath := filepath.Join("testdata", "seam_"+tc.name+".golden")
+			if *update {
+				if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(goldenPath)
+			if err != nil {
+				t.Fatalf("missing golden file (run go test ./internal/lint -update): %v", err)
+			}
+			if got != string(want) {
+				t.Errorf("diagnostics mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
+			}
+			if len(lines) == 0 {
+				t.Error("fixture produced no diagnostics; positives are missing")
+			}
+			for _, l := range lines {
+				if !strings.HasPrefix(l, tc.consumer) {
+					t.Errorf("diagnostic outside the consumer package: %s", l)
+				}
+				if !strings.Contains(l, tc.via) {
+					t.Errorf("diagnostic from the other seam's rule: %s", l)
+				}
+			}
+		})
 	}
 }
 

@@ -44,8 +44,8 @@ func (mi *moduleImporter) Import(path string) (*types.Package, error) {
 	return mi.std.Import(path)
 }
 
-// ModulePath reads the module path out of root/go.mod.
-func ModulePath(root string) (string, error) {
+// readModulePath reads the module path out of root/go.mod.
+func readModulePath(root string) (string, error) {
 	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return "", err
@@ -66,7 +66,7 @@ func ModulePath(root string) (string, error) {
 // excluding them keeps external-test-package handling out of the loader.
 // Packages are returned sorted by import path.
 func LoadModule(root string) ([]*Package, error) {
-	modPath, err := ModulePath(root)
+	modPath, err := readModulePath(root)
 	if err != nil {
 		return nil, err
 	}

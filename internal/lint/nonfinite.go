@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // NonFiniteAnalyzer guards the numeric kernel against silent NaN/Inf.
@@ -26,14 +25,7 @@ var NonFiniteAnalyzer = &Analyzer{
 var nonFinitePackages = []string{"internal/solver", "internal/thermal", "internal/core"}
 
 func runNonFinite(pass *Pass) {
-	inScope := false
-	for _, suffix := range nonFinitePackages {
-		if strings.HasSuffix(pass.Pkg.Path, suffix) {
-			inScope = true
-			break
-		}
-	}
-	if !inScope {
+	if !hasAnySuffix(pass.Pkg.Path, nonFinitePackages) {
 		return
 	}
 	for _, f := range pass.Pkg.Files {

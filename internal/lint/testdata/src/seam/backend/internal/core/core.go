@@ -33,7 +33,7 @@ func sanctioned(ev backend.Evaluator) int {
 	if !ok {
 		return 0
 	}
-	//lint:ignore backendleak fixture demonstrates the sanctioned escape
+	//lint:ignore seam fixture demonstrates the sanctioned escape
 	return m.NumTEC()
 }
 

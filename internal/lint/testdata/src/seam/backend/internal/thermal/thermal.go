@@ -1,5 +1,5 @@
 // Package thermal is a stand-in for the real physics package: the
-// backendleak analyzer matches the Model type by name and import-path
+// seam analyzer matches the Model type by name and import-path
 // suffix, so the fixture only needs the shapes, not the physics.
 package thermal
 

@@ -27,7 +27,7 @@ func smuggled(spec coolant.FanSpec) float64 {
 
 // The sanctioned escape: air-only reporting behind a directive.
 func sanctioned(spec coolant.FanSpec) float64 {
-	//lint:ignore fanleak fixture demonstrates the sanctioned escape
+	//lint:ignore seam fixture demonstrates the sanctioned escape
 	return spec.Power(100)
 }
 

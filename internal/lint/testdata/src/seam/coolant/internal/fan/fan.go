@@ -1,4 +1,4 @@
-// Package fan is a stand-in for the real air-mover package: the fanleak
+// Package fan is a stand-in for the real air-mover package: the seam
 // analyzer matches the Fan and HeatSinkModel types by name and
 // import-path suffix, so the fixture only needs the shapes.
 package fan

@@ -286,15 +286,6 @@ type StatsResponse struct {
 	UptimeS float64    `json:"uptime_s"`
 	Pool    PoolStats  `json:"pool"`
 	Cache   CacheStats `json:"cache"`
-	Req     ReqStats   `json:"requests"`
-}
-
-// StatzResponse is the /statz snapshot: /stats plus the blocked
-// multi-RHS evaluation counters.
-type StatzResponse struct {
-	UptimeS float64    `json:"uptime_s"`
-	Pool    PoolStats  `json:"pool"`
-	Cache   CacheStats `json:"cache"`
 	Batch   BatchStats `json:"batch"`
 	Req     ReqStats   `json:"requests"`
 }

@@ -126,7 +126,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/pareto", s.working(s.handlePareto, &s.paretos))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /stats", s.handleStats)
-	mux.HandleFunc("GET /statz", s.handleStatz)
 	return mux
 }
 
@@ -231,63 +230,38 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
+// handleStats serves the pool, cache, batched-evaluation and traffic
+// counters from one cache snapshot, admission-exempt so a saturated or
+// mid-sweep server stays observable.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	cs := s.cache.Stats()
 	s.writeJSON(w, http.StatusOK, StatsResponse{
 		UptimeS: time.Since(s.start).Seconds(),
-		Pool:    s.poolStats(),
-		Cache:   s.cacheStats(),
-		Req:     s.reqStats(),
-	})
-}
-
-// handleStatz is the live-counter superset of /stats: the same snapshot
-// plus the blocked-evaluation traffic, served admission-exempt so a
-// saturated or mid-sweep server stays observable.
-func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
-	cs := s.cache.Stats()
-	s.writeJSON(w, http.StatusOK, StatzResponse{
-		UptimeS: time.Since(s.start).Seconds(),
-		Pool:    s.poolStats(),
-		Cache:   s.cacheStats(),
-		Batch: BatchStats{
-			Batches:     cs.Batches,
-			BatchPoints: cs.BatchPoints,
+		Pool: PoolStats{
+			Models: s.pool.size(),
+			Builds: s.pool.builds.Load(),
 		},
-		Req: s.reqStats(),
+		Cache: CacheStats{
+			Hits:       cs.Hits,
+			Waits:      cs.Waits,
+			Misses:     cs.Misses,
+			Rotations:  cs.Rotations,
+			Collisions: cs.Collisions,
+			Len:        s.cache.Len(),
+			Capacity:   s.cache.Capacity(),
+		},
+		Batch: BatchStats{Batches: cs.Batches, BatchPoints: cs.BatchPoints},
+		Req: ReqStats{
+			Total:     s.total.Load(),
+			Errors:    s.errors.Load(),
+			Throttled: s.throttled.Load(),
+			InFlight:  s.inflight.Load(),
+			Evaluate:  s.evaluates.Load(),
+			Optimize:  s.optimizes.Load(),
+			Sweep:     s.sweeps.Load(),
+			Pareto:    s.paretos.Load(),
+		},
 	})
-}
-
-func (s *Server) poolStats() PoolStats {
-	return PoolStats{
-		Models: s.pool.size(),
-		Builds: s.pool.builds.Load(),
-	}
-}
-
-func (s *Server) cacheStats() CacheStats {
-	cs := s.cache.Stats()
-	return CacheStats{
-		Hits:       cs.Hits,
-		Waits:      cs.Waits,
-		Misses:     cs.Misses,
-		Rotations:  cs.Rotations,
-		Collisions: cs.Collisions,
-		Len:        s.cache.Len(),
-		Capacity:   s.cache.Capacity(),
-	}
-}
-
-func (s *Server) reqStats() ReqStats {
-	return ReqStats{
-		Total:     s.total.Load(),
-		Errors:    s.errors.Load(),
-		Throttled: s.throttled.Load(),
-		InFlight:  s.inflight.Load(),
-		Evaluate:  s.evaluates.Load(),
-		Optimize:  s.optimizes.Load(),
-		Sweep:     s.sweeps.Load(),
-		Pareto:    s.paretos.Load(),
-	}
 }
 
 // system resolves a chip spec through the pool to its shared System,

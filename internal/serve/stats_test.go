@@ -8,10 +8,10 @@ import (
 	"oftec/internal/backend"
 )
 
-// TestStatzBatchCounters drives a sweep (whole ω-rows submitted as
-// batches) and checks /statz reports the blocked traffic alongside the
-// /stats superset.
-func TestStatzBatchCounters(t *testing.T) {
+// TestStatsBatchCounters drives a sweep (whole ω-rows submitted as
+// batches) and checks /stats reports the blocked traffic alongside the
+// pool, cache, and request counters, and that /statz answers 404.
+func TestStatsBatchCounters(t *testing.T) {
 	s := New(Options{})
 	h := s.Handler()
 
@@ -19,27 +19,19 @@ func TestStatzBatchCounters(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("sweep status %d: %s", rec.Code, rec.Body.String())
 	}
-	rec = get(t, h, "/statz")
+	rec = get(t, h, "/stats")
 	if rec.Code != http.StatusOK {
-		t.Fatalf("statz status %d: %s", rec.Code, rec.Body.String())
+		t.Fatalf("stats status %d: %s", rec.Code, rec.Body.String())
 	}
-	statz := decodeBody[StatzResponse](t, rec)
-	if statz.Batch.Batches < 4 || statz.Batch.BatchPoints < 16 {
-		t.Errorf("4×4 sweep counted %d batches / %d points, want ≥4 / ≥16", statz.Batch.Batches, statz.Batch.BatchPoints)
+	stats := decodeBody[StatsResponse](t, rec)
+	if stats.Batch.Batches < 4 || stats.Batch.BatchPoints < 16 {
+		t.Errorf("4×4 sweep counted %d batches / %d points, want ≥4 / ≥16", stats.Batch.Batches, stats.Batch.BatchPoints)
 	}
-	if statz.Cache.Misses == 0 || statz.Pool.Builds != 1 || statz.Req.Sweep != 1 {
-		t.Errorf("statz superset fields off: %+v", statz)
+	if stats.Cache.Misses == 0 || stats.Pool.Builds != 1 || stats.Req.Sweep != 1 {
+		t.Errorf("stats fields off: %+v", stats)
 	}
-}
-
-// TestStatzAdmissionExempt: /statz must answer on a saturated server.
-func TestStatzAdmissionExempt(t *testing.T) {
-	s := New(Options{MaxInflight: 1})
-	h := s.Handler()
-	s.sem <- struct{}{} // occupy the only slot
-	defer func() { <-s.sem }()
-	if rec := get(t, h, "/statz"); rec.Code != http.StatusOK {
-		t.Errorf("statz blocked by admission control: %d", rec.Code)
+	if rec := get(t, h, "/statz"); rec.Code != http.StatusNotFound {
+		t.Errorf("GET /statz answered %d, want 404", rec.Code)
 	}
 }
 

@@ -32,7 +32,7 @@ func uniformMap(cfg *Config, total float64) power.Map {
 	return m
 }
 
-func benchModel(t *testing.T, cfg Config, bench string) *Model {
+func benchModel(t testing.TB, cfg Config, bench string) *Model {
 	t.Helper()
 	b, err := workload.ByName(bench)
 	if err != nil {

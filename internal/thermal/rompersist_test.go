@@ -57,7 +57,7 @@ func assertROMsIdentical(t *testing.T, label string, a, b *ReducedModel) {
 	}
 }
 
-func romCacheFile(t *testing.T, m *Model, opts ROMOptions) string {
+func romCacheFile(t testing.TB, m *Model, opts ROMOptions) string {
 	t.Helper()
 	identity, err := romIdentity(m, opts)
 	if err != nil {
