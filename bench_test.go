@@ -196,11 +196,11 @@ func checkSurfaceShape(b *testing.B, pts []experiments.SurfacePoint) {
 // BENCH_evaluate.json.
 //
 // On the measured ratio: the per-point path already shares the ω-slice
-// IC(0) factorization across a row (sparse.FactorCache), and the batch
-// contract replicates per-point CG bit-for-bit, which pins per-column
-// iteration counts to per-point counts. What batching buys is the
-// per-iteration pattern walk amortized over eight columns — worth ~2×
-// here, not an algorithmic-order win.
+// IC(0) factorization across a row (sparse.FactorCache). Batching buys
+// the per-iteration pattern walk amortized over eight columns, and its
+// seed protocol cuts the iteration count: past the anchor chunk every
+// column starts from the Galerkin projection onto the row's solved
+// fields and needs a few CG iterations instead of a full solve's worth.
 func BenchmarkSurfaceGridBatched(b *testing.B) {
 	setup := experiments.FastSetup()
 	for _, bc := range []struct {

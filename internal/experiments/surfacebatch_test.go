@@ -43,8 +43,10 @@ func perPointSurface(ctx context.Context, sys *core.System, nOmega, nI, workers 
 // batched sweep must classify every point like the per-point reference
 // sweep (runaway flags identical) and agree on temperatures and powers to
 // solver tolerance — the two paths warm-start differently (chained carry
-// vs. first-solution seed), so bit-identity is not the contract here;
-// determinism across worker counts is, and is pinned below.
+// vs. first-solution, anchor and projected seeds), so bit-identity is not
+// the contract here; determinism across worker counts is, and is pinned
+// below. Rows of 20 points run past the anchor chunk, so the projected
+// seeds are exercised.
 func TestSurfaceBatchedMatchesPerPoint(t *testing.T) {
 	setup := FastSetup()
 	batchedSys, err := setup.System("Basicmath")
@@ -54,7 +56,7 @@ func TestSurfaceBatchedMatchesPerPoint(t *testing.T) {
 	if _, ok := batchedSys.Backend().(backend.BatchEvaluator); !ok {
 		t.Fatal("full backend lost the BatchEvaluator capability")
 	}
-	batched, err := SurfaceSystem(context.Background(), batchedSys, 9, 5, 0)
+	batched, err := SurfaceSystem(context.Background(), batchedSys, 9, 20, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func TestSurfaceBatchedMatchesPerPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := perPointSurface(context.Background(), refSys, 9, 5, 0)
+	ref, err := perPointSurface(context.Background(), refSys, 9, 20, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +86,15 @@ func TestSurfaceBatchedMatchesPerPoint(t *testing.T) {
 }
 
 // TestSurfaceBatchedParallelMatchesSerial: rows are independent batches,
-// so the batched sweep is bit-deterministic for any worker count.
+// so the batched sweep is bit-deterministic for any worker count, with
+// rows long enough to reach the projected chunks.
 func TestSurfaceBatchedParallelMatchesSerial(t *testing.T) {
 	setup := FastSetup()
 	serialSys, err := setup.System("Basicmath")
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := SurfaceSystem(context.Background(), serialSys, 10, 7, 1)
+	serial, err := SurfaceSystem(context.Background(), serialSys, 10, 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +102,7 @@ func TestSurfaceBatchedParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SurfaceSystem(context.Background(), parSys, 10, 7, 4)
+	par, err := SurfaceSystem(context.Background(), parSys, 10, 20, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,17 +193,22 @@ type FactorCache[K comparable] struct {
 	// enough), so the failure is cached too and the caller's fallback
 	// path does not retry the factorization every solve.
 	entries map[K]*ICPreconditioner
+	// ring holds the cached keys in insertion order once full; next is
+	// the oldest, the one the next new key evicts.
+	ring []K
+	next int
 }
 
 // NewFactorCache returns a cache bounded to the given number of entries
-// (≤ 0 selects the default of 64). On overflow the cache is cleared
-// wholesale: factorizations rebuild in one pass, and the working set of
-// an optimization run is far below the bound.
+// (≤ 0 selects the default of 8). Past the bound a new key evicts the
+// oldest one: an optimization run walks through its fan speeds and
+// rarely returns to an early one, and one ω-slice factor of a
+// full-resolution model is about 200 KB.
 func NewFactorCache[K comparable](capacity int) *FactorCache[K] {
 	if capacity <= 0 {
-		capacity = 64
+		capacity = 8
 	}
-	return &FactorCache[K]{capacity: capacity, entries: make(map[K]*ICPreconditioner)}
+	return &FactorCache[K]{capacity: capacity, entries: make(map[K]*ICPreconditioner, capacity)}
 }
 
 // IC returns the cached IC(0) preconditioner for key, invoking build on a
@@ -227,8 +232,14 @@ func (c *FactorCache[K]) IC(key K, build func() (*ICPreconditioner, error)) (*IC
 		ic = nil
 	}
 	c.mu.Lock()
-	if len(c.entries) >= c.capacity {
-		c.entries = make(map[K]*ICPreconditioner)
+	if _, dup := c.entries[key]; !dup {
+		if len(c.ring) < c.capacity {
+			c.ring = append(c.ring, key)
+		} else {
+			delete(c.entries, c.ring[c.next])
+			c.ring[c.next] = key
+			c.next = (c.next + 1) % c.capacity
+		}
 	}
 	c.entries[key] = ic
 	c.mu.Unlock()

@@ -168,7 +168,7 @@ func TestWorkspaceReuse(t *testing.T) {
 
 // TestFactorCache: key hits must reuse the factorization object,
 // distinct keys must factorize separately, failures must be cached, and
-// the bound must clear on overflow.
+// the cache must stay within its bound on overflow.
 func TestFactorCache(t *testing.T) {
 	c := NewFactorCache[int](4)
 	a := laplacian1D(20, 1)
@@ -205,12 +205,50 @@ func TestFactorCache(t *testing.T) {
 		t.Errorf("cache holds %d entries, want 2", c.Len())
 	}
 
-	// Overflow clears.
+	// Overflow evicts.
 	for k := 10; k < 16; k++ {
 		c.IC(k, factor(a))
 	}
 	if c.Len() > 4 {
 		t.Errorf("cache exceeded its bound: %d entries", c.Len())
+	}
+}
+
+// TestFactorCacheEvictsOldest: capacity + 1 distinct keys evict exactly
+// the oldest key, for the default capacity and a small one; a hit does
+// not refresh a key's age.
+func TestFactorCacheEvictsOldest(t *testing.T) {
+	a := laplacian1D(10, 1)
+	for _, capacity := range []int{0, 3} {
+		c := NewFactorCache[int](capacity)
+		if capacity == 0 {
+			capacity = 8
+		}
+		builds := map[int]int{}
+		get := func(key int) {
+			c.IC(key, func() (*ICPreconditioner, error) {
+				builds[key]++
+				return NewICPreconditioner(a)
+			})
+		}
+		for k := 0; k < capacity; k++ {
+			get(k)
+		}
+		get(0) // a hit: key 0 stays the oldest
+		get(capacity)
+		if c.Len() != capacity {
+			t.Fatalf("capacity %d: %d entries after %d keys", capacity, c.Len(), capacity+1)
+		}
+		for k := 1; k <= capacity; k++ {
+			get(k)
+			if builds[k] != 1 {
+				t.Errorf("capacity %d: key %d rebuilt (%d builds); only the oldest key may be evicted", capacity, k, builds[k])
+			}
+		}
+		get(0)
+		if builds[0] != 2 {
+			t.Errorf("capacity %d: oldest key 0 built %d times, want 2 (evicted once)", capacity, builds[0])
+		}
 	}
 }
 

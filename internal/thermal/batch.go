@@ -15,14 +15,26 @@ import (
 // width-8 chunks to sparse.CGPrecondBatch under the shared slice
 // preconditioner.
 //
+// Seeds. Within an ω-group the first point solves on its own (from
+// ambient, or the memo) unless an explicit warm start seeds the group.
+// The first chunk holds batchWidth anchors spread evenly over the rest of
+// the group, seeded from that field; every later column starts CG from
+// the Galerkin solution of its own system on the fields the group has
+// solved so far (seedProjector, galerkin.go). A group of up to
+// batchWidth+1 points (batchWidth under an explicit warm start) never
+// reaches a later chunk. Seeds come only from fields solved in the same
+// call, so the results do not depend on the worker count.
+//
 // The batched path is a pure performance transform: per column the
 // assembly patches use the same floating-point statement shapes as
 // assembleInto and the lockstep CG replicates CGPrecond bit-for-bit, so
 // a batched result is reflect.DeepEqual to the per-point result from the
-// same seed (the equivalence suite pins this). A column the lockstep
-// solve cannot finish (breakdown, iteration budget) falls back to the
-// per-point path, which reproduces the identical failure — the same
-// ErrIndefinite certificate — exactly as a per-point call would.
+// same seed (the equivalence suite pins this). A seed steers CG, not the
+// answer: every column stops on the same true-residual test as a
+// per-point solve. A column the lockstep solve cannot finish (breakdown,
+// iteration budget) falls back to the per-point path, which reproduces
+// the identical failure — the same ErrIndefinite certificate — exactly
+// as a per-point call would.
 
 // batchWidth is the lockstep column count: wide enough to amortize the
 // per-iteration pattern walk over a cache line of float64 columns,
@@ -30,9 +42,8 @@ import (
 const batchWidth = 8
 
 // solveBatch is Solve's batched engine for validated points (with a
-// one-zone zoning already reduced to nil): per ω-group, the first point
-// solves per-point and seeds the rest unless warm seeds them all, and the
-// rest solve in lockstep chunks. The results are appended to dst.
+// one-zone zoning already reduced to nil): it solves each ω-group in
+// turn (solveGroup) and appends the results to dst.
 //
 //oftec:allocok batched engine: one results slice and per-group workspaces per call, amortized across the batch
 func (m *Model) solveBatch(ctx context.Context, z *Zoning, pts []Point, warm []float64, dst []*Result) ([]*Result, error) {
@@ -46,19 +57,7 @@ func (m *Model) solveBatch(ctx context.Context, z *Zoning, pts []Point, warm []f
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Seed: the sweep warm-start carry. The first point of the group
-		// solves per-point from ambient (or answers from the memo) and its
-		// field seeds the siblings; an explicit warm seeds everything.
-		seed := warm
-		if warm == nil {
-			res := m.solvePoint(z, pts[g[0]], nil)
-			results[g[0]] = res
-			if !res.Runaway {
-				seed = res.T
-			}
-			g = g[1:]
-		}
-		if err := m.solveGroup(ctx, z, pts, g, seed, results); err != nil {
+		if err := m.solveGroup(ctx, z, pts, g, warm, results); err != nil {
 			return nil, err
 		}
 	}
@@ -85,10 +84,53 @@ func groupByOmega(pts []Point) [][]int {
 	return out
 }
 
-// solveGroup solves the points idxs of one ω-group in lockstep chunks
-// from seed (nil: ambient). Memoized points answer without solving; a
-// column the lockstep solve cannot finish re-solves per-point.
-func (m *Model) solveGroup(ctx context.Context, z *Zoning, pts []Point, idxs []int, seed []float64, results []*Result) error {
+// anchorOrder orders the points of one ω-group for lockstep solving.
+// A group longer than one chunk leads with batchWidth anchors spread
+// evenly over it, both ends included, and the rest follow in submission
+// order: the later chunks, seeded from the anchors' fields, then
+// interpolate between solved fields instead of extrapolating. A group
+// that fits one chunk keeps its submission order.
+func anchorOrder(idxs []int) []int {
+	n := len(idxs)
+	if n <= batchWidth {
+		return idxs
+	}
+	order := make([]int, 0, n)
+	anchor := make([]bool, n)
+	for k := 0; k < batchWidth; k++ {
+		a := k * (n - 1) / (batchWidth - 1)
+		anchor[a] = true
+		order = append(order, idxs[a])
+	}
+	for i, pi := range idxs {
+		if !anchor[i] {
+			order = append(order, pi)
+		}
+	}
+	return order
+}
+
+// solveGroup solves the points idxs of one ω-group. With warm == nil the
+// first point solves per-point from ambient (or answers from the memo)
+// and its field is the group seed; otherwise warm is. The rest solve in
+// lockstep chunks in anchorOrder: the anchor chunk from the group seed,
+// every later column from its projected seed (seedProjector) on the
+// group's solved fields — the first point's and the anchors' — or from
+// the group seed when the projection is singular or the fields span
+// nothing. Memoized points answer without solving; a column the lockstep
+// solve cannot finish re-solves per-point from the same seed.
+func (m *Model) solveGroup(ctx context.Context, z *Zoning, pts []Point, idxs []int, warm []float64, results []*Result) error {
+	seed := warm
+	var solved [][]float64 // fields solved in this group: the projection basis
+	if warm == nil {
+		res := m.solvePoint(z, pts[idxs[0]], nil)
+		results[idxs[0]] = res
+		if !res.Runaway {
+			seed = res.T
+			solved = append(solved, res.T)
+		}
+		idxs = idxs[1:]
+	}
 	if len(idxs) == 0 {
 		return nil
 	}
@@ -128,13 +170,29 @@ func (m *Model) solveGroup(ctx context.Context, z *Zoning, pts []Point, idxs []i
 		}
 	}
 
+	// Per-column seeds: the group seed (nil: ambient) or a projected
+	// field in the column's own buffer.
+	var proj *seedProjector
+	var seeds [batchWidth][]float64
+	var seedBufs [batchWidth][]float64
+
+	order := anchorOrder(idxs)
 	var chunk []int
-	for start := 0; start < len(idxs); start += batchWidth {
+	for start := 0; start < len(order); start += batchWidth {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		if start == batchWidth {
+			// The anchor chunk is done: project onto the group's fields.
+			for _, pi := range order[:batchWidth] {
+				if res := results[pi]; !res.Runaway {
+					solved = append(solved, res.T)
+				}
+			}
+			proj = m.newSeedProjector(z, sc.mat, sc.rhs, solved)
+		}
 		chunk = chunk[:0]
-		for _, pi := range idxs[start:min(start+batchWidth, len(idxs))] {
+		for _, pi := range order[start:min(start+batchWidth, len(order))] {
 			if key, memo := memoKey(z, pts[pi]); memo {
 				if res, ok := m.loadResult(key); ok {
 					results[pi] = res
@@ -146,12 +204,23 @@ func (m *Model) solveGroup(ctx context.Context, z *Zoning, pts []Point, idxs []i
 		if len(chunk) == 0 {
 			continue
 		}
+		for j, pi := range chunk {
+			seeds[j] = seed
+			if proj != nil {
+				if seedBufs[j] == nil {
+					seedBufs[j] = make([]float64, m.n)
+				}
+				if proj.seed(pts[pi].Currents, seedBufs[j]) {
+					seeds[j] = seedBufs[j]
+				}
+			}
+		}
 		if !icOK {
 			// No slice factorization (matrix not SPD enough): the lockstep
 			// solve is unavailable, so every point takes the per-point
 			// SolveAuto — the same one it would have taken solo.
-			for _, pi := range chunk {
-				results[pi] = m.solvePoint(z, pts[pi], seed)
+			for j, pi := range chunk {
+				results[pi] = m.solvePoint(z, pts[pi], seeds[j])
 			}
 			continue
 		}
@@ -220,20 +289,18 @@ func (m *Model) solveGroup(ctx context.Context, z *Zoning, pts []Point, idxs []i
 			}
 		}
 
-		// Interleaved start: every column from the group seed (ambient
-		// when the group has none — the per-point nil-warm fill).
+		// Interleaved start: every column from its seed (ambient when it
+		// has none — the per-point nil-warm fill); pads copy their twin.
 		x0w := x0[:m.n*wp]
-		if seed != nil {
-			for i := 0; i < m.n; i++ {
-				s := seed[i]
-				col := x0w[i*wp : i*wp+wp]
-				for j := range col {
-					col[j] = s
+		for i := 0; i < m.n; i++ {
+			col := x0w[i*wp : i*wp+wp]
+			for j := range col {
+				s := seeds[min(j, w-1)]
+				if s == nil {
+					col[j] = m.cfg.Ambient
+				} else {
+					col[j] = s[i]
 				}
-			}
-		} else {
-			for i := range x0w {
-				x0w[i] = m.cfg.Ambient
 			}
 		}
 
@@ -247,7 +314,7 @@ func (m *Model) solveGroup(ctx context.Context, z *Zoning, pts []Point, idxs []i
 				// The lockstep solve failed for this column: re-solve it
 				// per-point from the same seed, which reproduces the same
 				// failure exactly as a solo call would.
-				results[pi] = m.solvePoint(z, pts[pi], seed)
+				results[pi] = m.solvePoint(z, pts[pi], seeds[j])
 				continue
 			}
 			res := m.steadyState(omega, driveOf(z, pts[pi]), sols[j], stats[j], nil)

@@ -785,15 +785,17 @@ type Point struct {
 // allocating.
 //
 // warm is an optional warm-start temperature field of length NumNodes
-// that steers the iterative solver, never the answer; it is read, never
-// written. A single point solves on its own from warm (nil: a uniform
-// ambient field). Longer slices run the batched engine (solveBatch),
-// whose results are reflect.DeepEqual, SolveStats included, to per-point
-// solves under the sweep warm-start carry: with warm == nil the first
-// point of each ω-group seeds from ambient and the rest from its
-// solution; with warm set every point seeds from it. The batched engine
-// checks ctx (nil: no cancellation) between chunks and returns ctx.Err()
-// with no results once it is cancelled.
+// that steers the iterative solver, not the answer beyond the solver
+// tolerance; it is read, never written. A single point solves on its own
+// from warm (nil: a uniform ambient field). Longer slices run the batched
+// engine (solveBatch), whose results are reflect.DeepEqual, SolveStats
+// included, to per-point solves under its seed protocol: with warm == nil
+// the first point of each ω-group seeds from ambient and its solution
+// seeds the group's anchor chunk, with warm set warm seeds it; every
+// point past the anchors seeds from its Galerkin projection onto the
+// group's solved fields. The batched engine checks ctx (nil: no
+// cancellation) between chunks and returns ctx.Err() with no results
+// once it is cancelled.
 //
 //oftec:hotpath
 func (m *Model) Solve(ctx context.Context, z *Zoning, pts []Point, warm []float64, dst []*Result) ([]*Result, error) {

@@ -27,7 +27,8 @@ import (
 // TEC-cold nodes, −α at TEC-hot nodes), b_s the sink ambient injection
 // (frac_i·T_amb), and b_j the Joule injection (R_i at the TEC mid plane).
 // Projecting each term once at construction reduces every evaluation to a
-// dense r×r solve plus an n·r reconstruction, with r ≈ a few dozen.
+// dense r×r solve plus an n·r reconstruction, with r ≈ a few dozen. The
+// projection is galerkin.go's, which the batched engine shares.
 //
 // The ROM never silently returns a degraded answer: every evaluation
 // reconstructs the full-space residual r = b − A·T̃ (one sparse
@@ -121,15 +122,11 @@ type ReducedModel struct {
 	basis [][]float64 // rank orthonormal n-vectors
 
 	// Affine pieces: full-space base operator (for the residual check) and
-	// the projected operators/RHS parts.
+	// the projected system, whose terms are the sink split (VᵀD_sV, Vᵀb_s)
+	// and the Peltier/Joule pattern (VᵀD_pV, Vᵀb_j).
 	a0mat *sparse.CSR // A₀ with its own value copy
 	g0    float64     // g(0): sink conductance already folded into A₀/b₀
-
-	ar0 [][]float64 // VᵀA₀V
-	ds  [][]float64 // VᵀD_sV
-	dp  [][]float64 // VᵀD_pV
-	bs  []float64   // Vᵀb_s
-	bj  []float64   // Vᵀb_j
+	gal   galerkin
 
 	omegaFloor float64 // smallest snapshot ω that did not run away
 	bound      float64 // advertised max |T̃ − T| over chip cells, K
@@ -143,8 +140,7 @@ type ReducedModel struct {
 	// manifold.
 	dynMu  sync.Mutex
 	dynGen uint64
-	b0     []float64 // full-space base RHS at (0, 0)
-	br0    []float64 // Vᵀb₀
+	b0     []float64 // full-space base RHS at (0, 0); gal.b0 is Vᵀb₀
 
 	evals      atomic.Int64
 	rejections atomic.Int64
@@ -156,7 +152,6 @@ type ReducedModel struct {
 // romScratch is one pooled per-evaluation workspace.
 type romScratch struct {
 	ar   [][]float64 // rank×rank reduced operator
-	flat []float64   // backing for ar
 	br   []float64   // reduced RHS
 	work []float64   // full-space A₀·T̃ / residual workspace
 }
@@ -225,16 +220,11 @@ func (r *ReducedModel) initScratch() {
 	rank := r.rank
 	n := r.m.n
 	r.scratch.New = func() any {
-		s := &romScratch{
-			flat: make([]float64, rank*rank),
+		return &romScratch{
+			ar:   denseSquare(rank),
 			br:   make([]float64, rank),
 			work: make([]float64, n),
 		}
-		s.ar = make([][]float64, rank)
-		for i := range s.ar {
-			s.ar[i] = s.flat[i*rank : (i+1)*rank]
-		}
-		return s
 	}
 }
 
@@ -319,86 +309,22 @@ func (r *ReducedModel) dynSensitivity(omega float64) ([]float64, error) {
 	return x, err
 }
 
-// orthonormalBasis runs modified Gram-Schmidt (with one re-orthogonalization
-// pass) over the snapshots, dropping near-dependent directions.
-func orthonormalBasis(snaps [][]float64, maxRank int) [][]float64 {
-	const dropTol = 1e-8
-	var basis [][]float64
-	for _, s := range snaps {
-		if len(basis) >= maxRank {
-			break
-		}
-		v := make([]float64, len(s))
-		copy(v, s)
-		orig := sparse.Norm2(v)
-		if orig == 0 {
-			continue
-		}
-		for pass := 0; pass < 2; pass++ {
-			for _, b := range basis {
-				sparse.AXPY(-sparse.Dot(b, v), b, v)
-			}
-		}
-		if nrm := sparse.Norm2(v); nrm > dropTol*orig {
-			inv := 1 / nrm
-			for i := range v {
-				v[i] *= inv
-			}
-			basis = append(basis, v)
-		}
-	}
-	return basis
-}
-
-// project builds the reduced operators from the captured affine pieces.
+// project builds the projected system from the captured affine pieces.
 func (r *ReducedModel) project() {
 	m, rank := r.m, r.rank
-	r.ar0 = make([][]float64, rank)
-	r.ds = make([][]float64, rank)
-	r.dp = make([][]float64, rank)
-	r.bs = make([]float64, rank)
-	r.bj = make([]float64, rank)
-	r.br0 = make([]float64, rank)
-
-	av := make([]float64, m.n)
-	for j := 0; j < rank; j++ {
-		r.a0mat.MulVec(av, r.basis[j])
-		for i := 0; i < rank; i++ {
-			if r.ar0[i] == nil {
-				r.ar0[i] = make([]float64, rank)
-				r.ds[i] = make([]float64, rank)
-				r.dp[i] = make([]float64, rank)
-			}
-			r.ar0[i][j] = sparse.Dot(r.basis[i], av)
-		}
-	}
+	r.gal = newGalerkin(r.basis, r.a0mat, r.b0)
+	sink := galerkinTerm{a: denseSquare(rank), b: make([]float64, rank)}
 	for c, frac := range m.sinkFrac {
 		node := m.node(planeSink, c)
 		for i := 0; i < rank; i++ {
 			vi := r.basis[i][node]
-			r.bs[i] += frac * m.cfg.Ambient * vi
+			sink.b[i] += frac * m.cfg.Ambient * vi
 			for j := 0; j < rank; j++ {
-				r.ds[i][j] += frac * vi * r.basis[j][node]
+				sink.a[i][j] += frac * vi * r.basis[j][node]
 			}
 		}
 	}
-	for c, alpha := range m.tecAlpha {
-		if alpha == 0 {
-			continue
-		}
-		cold := m.node(planeTECCold, c)
-		hot := m.node(planeTECHot, c)
-		mid := m.node(planeTECMid, c)
-		for i := 0; i < rank; i++ {
-			r.bj[i] += m.tecR[c] * r.basis[i][mid]
-			for j := 0; j < rank; j++ {
-				r.dp[i][j] += alpha * (r.basis[i][cold]*r.basis[j][cold] - r.basis[i][hot]*r.basis[j][hot])
-			}
-		}
-	}
-	for i := 0; i < rank; i++ {
-		r.br0[i] = sparse.Dot(r.basis[i], r.b0)
-	}
+	r.gal.terms = append([]galerkinTerm{sink}, m.tecTerms(r.basis, nil, 1)...)
 }
 
 // calibrate measures the ROM against full solves on the held-out grid,
@@ -490,7 +416,7 @@ func (r *ReducedModel) ensureDyn() {
 	copy(r.b0, sc.rhs)
 	r.m.putScratch(sc)
 	for i := 0; i < r.rank; i++ {
-		r.br0[i] = sparse.Dot(r.basis[i], r.b0)
+		r.gal.b0[i] = sparse.Dot(r.basis[i], r.b0)
 	}
 	r.dynGen = gen
 	r.refreshes.Add(1)
@@ -507,29 +433,15 @@ func (r *ReducedModel) reducedSolve(omega, itec float64) (t []float64, resNorm f
 
 	sc := r.scratch.Get().(*romScratch)
 	defer r.scratch.Put(sc)
-	for i := 0; i < r.rank; i++ {
-		row := sc.ar[i]
-		a0, dsr, dpr := r.ar0[i], r.ds[i], r.dp[i]
-		for j := 0; j < r.rank; j++ {
-			row[j] = a0[j] + gd*dsr[j] + itec*dpr[j]
-		}
-		sc.br[i] = r.br0[i] + gd*r.bs[i] + i2*r.bj[i]
-	}
-	lu, err := sparse.NewLU(sc.ar)
-	if err != nil {
-		return nil, 0, false
-	}
-	y, err := lu.Solve(sc.br)
-	if err != nil {
+	y, ok := r.gal.solve([]float64{gd, itec}, []float64{gd, i2}, sc.ar, sc.br)
+	if !ok {
 		return nil, 0, false
 	}
 
 	// T̃ = V·y, freshly allocated: the field outlives the scratch inside
 	// the returned Result.
 	t = make([]float64, r.m.n)
-	for k := 0; k < r.rank; k++ {
-		sparse.AXPY(y[k], r.basis[k], t)
-	}
+	r.gal.expand(y, t)
 
 	// Full-space residual via the affine pieces — no reassembly:
 	// work = b(ω,I) − A(ω,I)·T̃.

@@ -79,14 +79,15 @@ go test -race \
 
 # The batched-equivalence gate by name: blocked multi-RHS CG against the
 # scalar solver bitwise, multi-point Solve against per-point DeepEqual
-# (scalar, zoned, mid-batch cancellation, dynamic-power flush spans), the
-# zoned warm-start validation, the backend BatchEvaluator conformance
+# (scalar, zoned, mid-batch cancellation, dynamic-power flush spans, and
+# ω-groups long enough for projected seeds, checked against cold solves
+# too), the zoned warm-start validation, the backend BatchEvaluator conformance
 # contract, ROM basis persistence round-trips, and the /stats batch
 # counters —
 # the set that keeps the batch path interchangeable with the per-point
 # path.
 echo "== go test -race (batched equivalence + basis persistence)"
-go test -race -run 'Batch|ZonedWarm|ROMPersist|ROMCacheDir' \
+go test -race -run 'Batch|ZonedWarm|ROMPersist|ROMCacheDir|LongGroup|ProjectedSeeds' \
 	./internal/sparse/... ./internal/thermal/... ./internal/backend/... \
 	./internal/core/... ./internal/serve/...
 
@@ -114,12 +115,16 @@ go test -race ./...
 echo "== go test -count=3 -shuffle=on ./..."
 go test -count=3 -shuffle=on ./...
 
-# One bounded fuzz run per untrusted file input: the config loader and
-# the persisted ROM basis (OFTECROM). The seed corpora already run in
-# every plain go test; this explores past them.
-echo "== go test -fuzz (config JSON, OFTECROM basis files)"
-go test -run '^$' -fuzz FuzzLoadConfig -fuzztime 10s ./internal/thermal
-go test -run '^$' -fuzz FuzzROMCacheFile -fuzztime 10s ./internal/thermal
+# One bounded fuzz run per untrusted file input: the config loader, the
+# persisted ROM basis (OFTECROM) and floorplan JSON. The seed corpora
+# already run in every plain go test; this explores past them. The
+# default 60 s minimization of each new interesting input would eat the
+# whole 10 s budget (FuzzLoadConfig executed 14 inputs in 11 s), so
+# minimization gets 1 s (about 77,000 execs in 15 s).
+echo "== go test -fuzz (config JSON, OFTECROM basis files, floorplan JSON)"
+go test -run '^$' -fuzz FuzzLoadConfig -fuzztime 10s -fuzzminimizetime 1s ./internal/thermal
+go test -run '^$' -fuzz FuzzROMCacheFile -fuzztime 10s -fuzzminimizetime 1s ./internal/thermal
+go test -run '^$' -fuzz FuzzFloorplanJSON -fuzztime 10s -fuzzminimizetime 1s ./internal/floorplan
 
 # The oftecd smoke gate: a real daemon on an ephemeral port, one request
 # against every endpoint (including a streamed optimize), then SIGTERM —
